@@ -84,13 +84,21 @@ fn main() {
         ],
         &rows,
     );
+    // The telemetry work counters are deterministic, unlike host seconds;
+    // scripts/check.sh gates samples per window on them.
+    let work = rep.telemetry_work;
     println!(
-        "fleet: {} requests, makespan {:.2} ms sim / {:.2} s host, Jain {} permille, {} SLO violations",
+        "fleet: {} requests, makespan {:.2} ms sim / {:.2} s host, Jain {} permille, \
+         {} SLO violations, telemetry {} windows x {} series: {} samples, {} name lookups",
         rep.total_requests,
         rep.makespan.as_nanos() as f64 / 1e6,
         host_secs,
         rep.jain_permille,
         rep.slo_violations,
+        work.windows,
+        work.series,
+        work.samples,
+        work.name_lookups,
     );
     println!(
         "lorenz latency-share curve (permille): {:?}",

@@ -56,7 +56,7 @@ pub use guestfs::GuestFilesystem;
 pub use system::{
     DiskId, DiskKind, OpenRequest, ProvisionedDisk, StreamResult, StreamSpec, System, VmId,
 };
-pub use telemetry::{Telemetry, TelemetryConfig};
+pub use telemetry::{Telemetry, TelemetryConfig, TelemetryWork};
 pub use workload::{ScenarioSpec, TenantClass, TenantIo, TenantSpec, Workload, WorkloadReport};
 
 /// One-stop imports for harnesses, examples, and tests.

@@ -15,9 +15,17 @@
 //! * every stored sample is a `u64` (nanoseconds, bytes, operations, or
 //!   parts-per-million for utilizations), so exports are byte-stable and no
 //!   float ever feeds back into scheduling (nesc-lint D4);
-//! * series are registered before the first window closes and sampled once
-//!   per closed window, in registration order, so two same-seed runs
-//!   produce identical rings.
+//! * every series holds one value per window closed since it registered,
+//!   so two same-seed runs produce identical rings.
+//!
+//! Sampling is proportional to activity. The owner samples only the series
+//! whose probe moved in a window; a series left unsampled takes its *idle*
+//! value there — a counter's delta is 0, a gauge repeats its previous value,
+//! and a [window statistic](Sampler::register_window_stat) reads 0. Rings
+//! are stored run-length, so an idle stretch costs nothing until the next
+//! sample, and every reader ([`TimeSeries`], the exporters, the digest)
+//! sees exactly the ring that sampling every series at every close would
+//! have built.
 //!
 //! On top of the series sit the [`SloWatchdog`] — declarative threshold
 //! rules ("p99 above X for 3 consecutive windows", optionally guarded by a
@@ -38,7 +46,7 @@
 //! let depth = s.register("depth", "entries", SeriesKind::Gauge);
 //!
 //! // The owner drives the sampler from simulated time: when `due`
-//! // returns a window end, snapshot every probe.
+//! // returns a window end, snapshot every probe that moved.
 //! let mut total_ops = 0u64;
 //! for t in [4_000u64, 12_000, 26_000] {
 //!     total_ops += 10;
@@ -53,7 +61,7 @@
 //! assert_eq!(ring.samples().collect::<Vec<_>>(), vec![(0, 20), (1, 10)]);
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use crate::queue::EventQueue;
@@ -85,73 +93,131 @@ impl SeriesKind {
     }
 }
 
-/// One ring-buffered series of per-window samples.
+/// Storage of one series: its per-window samples as runs of equal values.
 #[derive(Debug, Clone)]
-pub struct TimeSeries {
+struct SeriesRing {
     name: String,
     unit: &'static str,
     kind: SeriesKind,
-    capacity: usize,
-    samples: VecDeque<u64>,
-    /// Samples ever committed (ring evictions included).
-    total: u64,
+    /// An unsampled window reads 0 instead of holding the previous raw.
+    idle_zero: bool,
+    /// The window current when the series registered: its first window.
+    start: u64,
+    /// Runs `(first window, value)`, oldest first. A run lasts until the
+    /// next one starts; the last one lasts until `upto`.
+    runs: VecDeque<(u64, u64)>,
+    /// One past the last window committed by [`Sampler::sample`]. Windows
+    /// from here up to the sampler's close count are idle.
+    upto: u64,
     /// Raw value at the previous sample (counter-delta state).
     last_raw: u64,
 }
 
-impl TimeSeries {
+impl SeriesRing {
+    /// The sample of a window in which the owner did not sample the series:
+    /// what an unchanged raw stores (a counter's zero delta, a gauge's
+    /// previous value), or 0 for a window statistic.
+    fn idle_value(&self) -> u64 {
+        match self.kind {
+            SeriesKind::Gauge if !self.idle_zero => self.last_raw,
+            _ => 0,
+        }
+    }
+
+    /// Appends `value` for the windows from `from` on, extending the last
+    /// run when the value repeats.
+    fn push_run(&mut self, from: u64, value: u64) {
+        if self.runs.back().is_none_or(|&(_, v)| v != value) {
+            self.runs.push_back((from, value));
+        }
+    }
+
+    /// The committed sample of `window` (`start <= window < upto`).
+    fn run_value(&self, window: u64) -> u64 {
+        let i = self.runs.partition_point(|&(from, _)| from <= window);
+        i.checked_sub(1)
+            .and_then(|i| self.runs.get(i))
+            .map_or(0, |&(_, v)| v)
+    }
+}
+
+/// A read-only view of one series: its per-window samples up to the
+/// sampler's latest closed window, oldest retained first.
+#[derive(Debug, Clone, Copy)]
+pub struct TimeSeries<'a> {
+    ring: &'a SeriesRing,
+    /// Windows the sampler has closed.
+    closed: u64,
+    /// Ring capacity: windows retained per series.
+    capacity: u64,
+}
+
+impl<'a> TimeSeries<'a> {
     /// Series name (e.g. `"core.btlb_hits"`).
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        &self.ring.name
     }
 
     /// Unit label (e.g. `"ops"`, `"ns"`, `"ppm"`).
     pub fn unit(&self) -> &'static str {
-        self.unit
+        self.ring.unit
     }
 
     /// Gauge or counter-delta.
     pub fn kind(&self) -> SeriesKind {
-        self.kind
+        self.ring.kind
     }
 
     /// Number of samples currently held (≤ ring capacity).
     pub fn len(&self) -> usize {
-        self.samples.len()
+        (self.closed - self.first_window()) as usize
     }
 
     /// Whether no window has been committed yet.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
     }
 
     /// Window index of the oldest retained sample.
     pub fn first_window(&self) -> u64 {
-        self.total - self.samples.len() as u64
+        self.ring
+            .start
+            .max(self.closed.saturating_sub(self.capacity))
     }
 
     /// Iterates `(window_index, value)` pairs, oldest first.
-    pub fn samples(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    pub fn samples(&self) -> impl Iterator<Item = (u64, u64)> + 'a {
+        let ring = self.ring;
         let first = self.first_window();
-        self.samples
+        let committed = ring
+            .runs
             .iter()
             .enumerate()
-            .map(move |(i, &v)| (first + i as u64, v))
+            .flat_map(move |(i, &(from, v))| {
+                let to = ring.runs.get(i + 1).map_or(ring.upto, |&(next, _)| next);
+                (from.max(first)..to).map(move |w| (w, v))
+            });
+        let idle = ring.idle_value();
+        let tail = (ring.upto.max(first)..self.closed).map(move |w| (w, idle));
+        committed.chain(tail)
     }
 
     /// The sample for `window`, if still retained.
     pub fn value_at(&self, window: u64) -> Option<u64> {
-        if window < self.first_window() {
+        if window < self.first_window() || window >= self.closed {
             return None;
         }
-        self.samples
-            .get((window - self.first_window()) as usize)
-            .copied()
+        Some(if window >= self.ring.upto {
+            self.ring.idle_value()
+        } else {
+            self.ring.run_value(window)
+        })
     }
 
     /// The most recent `(window_index, value)` pair.
     pub fn latest(&self) -> Option<(u64, u64)> {
-        self.samples.back().map(|&v| (self.total - 1, v))
+        let w = self.closed.checked_sub(1)?;
+        self.value_at(w).map(|v| (w, v))
     }
 }
 
@@ -166,20 +232,29 @@ struct Tick {
 /// The sampler never reads a clock: its owner calls [`due`](Self::due) with
 /// the current *simulated* time, and the sampler pops tick events off its
 /// internal [`EventQueue`] — one per elapsed window — handing back each
-/// window end so the owner can snapshot its probes via
+/// window end so the owner can snapshot the probes that moved via
 /// [`sample`](Self::sample). Window `k` covers simulated time
 /// `[k·interval, (k+1)·interval)`; an observation at exactly `k·interval`
 /// therefore belongs to window `k` (the close for window `k-1` fires
 /// first).
+///
+/// A window close costs O(samples committed in it): series the owner does
+/// not sample take their idle value without being touched.
 #[derive(Debug)]
 pub struct Sampler {
     interval: SimDuration,
     capacity: usize,
-    series: Vec<TimeSeries>,
+    series: Vec<SeriesRing>,
+    /// Name → first series registered under it.
+    index: BTreeMap<String, SeriesId>,
     ticks: EventQueue<Tick>,
     /// Windows closed so far; window `closed - 1` is the one being (or
     /// last) sampled.
     closed: u64,
+    /// Samples committed by [`sample`](Self::sample) over the run.
+    samples_committed: u64,
+    /// Series sampled at the latest close, in sampling order.
+    sampled: Vec<SeriesId>,
 }
 
 impl Sampler {
@@ -200,8 +275,11 @@ impl Sampler {
             interval,
             capacity,
             series: Vec::new(),
+            index: BTreeMap::new(),
             ticks,
             closed: 0,
+            samples_committed: 0,
+            sampled: Vec::new(),
         }
     }
 
@@ -220,6 +298,12 @@ impl Sampler {
         self.closed
     }
 
+    /// Samples committed by [`sample`](Self::sample) so far — the
+    /// sampler's deterministic work counter. Idle windows commit nothing.
+    pub fn samples_committed(&self) -> u64 {
+        self.samples_committed
+    }
+
     /// Start of window `w`.
     pub fn window_start(&self, w: u64) -> SimTime {
         SimTime::ZERO + self.interval * w
@@ -230,33 +314,54 @@ impl Sampler {
         SimTime::ZERO + self.interval * (w + 1)
     }
 
-    /// Registers a series. A series registered after windows have already
-    /// closed simply starts at the current window (earlier windows have no
-    /// sample for it); from then on it must be sampled exactly once per
-    /// close, like every other series. A counter's first sample is its raw
-    /// cumulative value.
+    /// Registers a series whose unsampled windows hold its raw value: a
+    /// counter records a zero delta, a gauge repeats its previous sample
+    /// (0 before the first). A series registered after windows have
+    /// already closed starts at the current window (earlier windows have
+    /// no sample for it). A counter's first sample is its raw cumulative
+    /// value.
+    ///
+    /// Names need not be unique; [`series_by_name`](Self::series_by_name)
+    /// and [`series_id`](Self::series_id) resolve a name to its first
+    /// registration.
     pub fn register(&mut self, name: &str, unit: &'static str, kind: SeriesKind) -> SeriesId {
-        debug_assert!(
-            self.series.iter().all(|s| s.name != name),
-            "duplicate series {name}"
-        );
-        self.series.push(TimeSeries {
+        self.register_ring(name, unit, kind, false)
+    }
+
+    /// Registers a gauge over a per-window statistic (a window's p99, say):
+    /// an unsampled window had no observations and reads 0.
+    pub fn register_window_stat(&mut self, name: &str, unit: &'static str) -> SeriesId {
+        self.register_ring(name, unit, SeriesKind::Gauge, true)
+    }
+
+    fn register_ring(
+        &mut self,
+        name: &str,
+        unit: &'static str,
+        kind: SeriesKind,
+        idle_zero: bool,
+    ) -> SeriesId {
+        let id = SeriesId(self.series.len());
+        self.series.push(SeriesRing {
             name: name.to_string(),
             unit,
             kind,
-            capacity: self.capacity,
-            samples: VecDeque::new(),
-            total: self.closed,
+            idle_zero,
+            start: self.closed,
+            runs: VecDeque::new(),
+            upto: self.closed,
             last_raw: 0,
         });
-        SeriesId(self.series.len() - 1)
+        self.index.entry(name.to_string()).or_insert(id);
+        id
     }
 
     /// Pops the next due window close: if simulated time `now` has reached
     /// (or passed) the end of the oldest unclosed window, that window is
-    /// closed and its end time returned; the owner must then
-    /// [`sample`](Self::sample) every registered series before calling
-    /// `due` again. Returns `None` when no window end has been reached.
+    /// closed and its end time returned; the owner then
+    /// [`sample`](Self::sample)s the series whose probes moved before
+    /// calling `due` again. Returns `None` when no window end has been
+    /// reached.
     ///
     /// Callers drive this in a loop (`while let Some(end) = sampler.due(now)`)
     /// so that an idle stretch spanning several windows closes each of them
@@ -272,48 +377,76 @@ impl Sampler {
         );
         debug_assert_eq!(tick.window, self.closed, "windows close in order");
         self.closed = tick.window + 1;
+        self.sampled.clear();
         Some(t)
     }
 
     /// Commits the raw probe value for the window just closed by
     /// [`due`](Self::due). Gauges store `raw`; counters store the delta
-    /// since the previous window's raw value.
+    /// since the previous sampled raw value. Windows the series skipped
+    /// since its last sample take its idle value.
     ///
-    /// A sample outside a window close (a contract violation) is dropped;
-    /// debug builds assert that each series receives exactly one sample
-    /// per closed window.
+    /// A sample outside a window close, or a second sample of a series in
+    /// one window (contract violations), is dropped; debug builds assert.
     pub fn sample(&mut self, id: SeriesId, raw: u64) {
-        debug_assert!(self.closed > 0, "sample() outside a window close");
-        if self.closed == 0 {
-            return;
-        }
+        let closed = self.closed;
+        let capacity = self.capacity as u64;
         let s = &mut self.series[id.0];
-        debug_assert_eq!(
-            s.total + 1,
-            self.closed,
-            "series {} must be sampled exactly once per closed window",
+        debug_assert!(
+            s.upto < closed,
+            "series {} sampled outside a window close or twice in one",
             s.name
         );
+        if s.upto >= closed {
+            return;
+        }
+        let window = closed - 1;
         let value = match s.kind {
             SeriesKind::Gauge => raw,
             SeriesKind::Counter => raw.saturating_sub(s.last_raw),
         };
-        s.last_raw = raw;
-        if s.samples.len() == s.capacity {
-            s.samples.pop_front();
+        if s.upto < window {
+            let idle = s.idle_value();
+            s.push_run(s.upto, idle);
         }
-        s.samples.push_back(value);
-        s.total += 1;
+        s.last_raw = raw;
+        s.push_run(window, value);
+        s.upto = closed;
+        // Drop runs that ended before the oldest retained window.
+        let first = s.start.max(closed.saturating_sub(capacity));
+        while s.runs.get(1).is_some_and(|&(from, _)| from <= first) {
+            s.runs.pop_front();
+        }
+        self.samples_committed += 1;
+        self.sampled.push(id);
     }
 
     /// All series, in registration order.
-    pub fn series(&self) -> &[TimeSeries] {
-        &self.series
+    pub fn series(&self) -> impl ExactSizeIterator<Item = TimeSeries<'_>> {
+        self.series.iter().map(|ring| self.view(ring))
     }
 
-    /// Looks up a series by name.
-    pub fn series_by_name(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.iter().find(|s| s.name == name)
+    /// The series registered as `id`.
+    pub fn series_by_id(&self, id: SeriesId) -> TimeSeries<'_> {
+        self.view(&self.series[id.0])
+    }
+
+    /// The id of the first series registered under `name`.
+    pub fn series_id(&self, name: &str) -> Option<SeriesId> {
+        self.index.get(name).copied()
+    }
+
+    /// Looks up a series by name (its first registration).
+    pub fn series_by_name(&self, name: &str) -> Option<TimeSeries<'_>> {
+        self.series_id(name).map(|id| self.series_by_id(id))
+    }
+
+    fn view<'a>(&self, ring: &'a SeriesRing) -> TimeSeries<'a> {
+        TimeSeries {
+            ring,
+            closed: self.closed,
+            capacity: self.capacity as u64,
+        }
     }
 }
 
@@ -369,8 +502,9 @@ pub struct Condition {
 }
 
 impl Condition {
-    fn holds(&self, sampler: &Sampler, window: u64) -> Option<u64> {
-        let v = sampler.series_by_name(&self.series)?.value_at(window)?;
+    /// The value of the bound series in `window` if the test holds there.
+    fn holds(&self, series: Option<SeriesId>, sampler: &Sampler, window: u64) -> Option<u64> {
+        let v = sampler.series_by_id(series?).value_at(window)?;
         self.cmp.test(v, self.threshold).then_some(v)
     }
 }
@@ -575,11 +709,38 @@ pub struct AnomalyEvent {
 /// Evaluates [`SloRule`]s against a [`Sampler`] at every window close,
 /// tracking per-rule streaks and emitting [`AnomalyEvent`]s plus
 /// `telemetry`-layer trace spans when a streak completes.
+///
+/// Each condition's series name is resolved to a [`SeriesId`] once; a
+/// condition whose series has not registered yet is looked up again after
+/// more series register (a disk attached late), so evaluation itself does
+/// no string work. A watchdog evaluates against one sampler for its whole
+/// life.
 #[derive(Debug, Clone, Default)]
 pub struct SloWatchdog {
     rules: Vec<SloRule>,
+    /// Per rule, the series its primary and guard conditions read (`None`
+    /// while unresolved; a rule without a guard never resolves slot 1).
+    bound: Vec<[Option<SeriesId>; 2]>,
     streaks: Vec<u32>,
     anomalies: Vec<AnomalyEvent>,
+    /// Rule and series counts at the last bind; binding again is only
+    /// needed once either grows.
+    bound_at: (usize, usize),
+    /// Series name lookups made while binding.
+    name_lookups: u64,
+    /// Per series index, the rules reading it (primary or guard).
+    readers: Vec<Vec<usize>>,
+    /// Rules the next close must evaluate even if it samples none of
+    /// their series: those whose series were sampled at this close (the
+    /// next close may read their idle value) and those with a running
+    /// streak.
+    carry: Vec<usize>,
+    /// Scratch: the rules the current close evaluates.
+    due: Vec<usize>,
+    /// The window evaluated last.
+    last_window: Option<u64>,
+    /// Closes left that evaluate every rule (set after a bind).
+    full_closes: u32,
 }
 
 impl SloWatchdog {
@@ -588,9 +749,11 @@ impl SloWatchdog {
         SloWatchdog::default()
     }
 
-    /// Adds a rule.
+    /// Adds a rule. Its series are resolved at the next
+    /// [`evaluate`](Self::evaluate).
     pub fn add_rule(&mut self, rule: SloRule) {
         self.rules.push(rule);
+        self.bound.push([None; 2]);
         self.streaks.push(0);
     }
 
@@ -599,23 +762,94 @@ impl SloWatchdog {
         &self.rules
     }
 
+    /// Series name lookups made so far — the watchdog's deterministic work
+    /// counter. A bind looks up each unresolved condition once, and binds
+    /// happen only after rules are added or series registered. Once every
+    /// rule is bound, evaluation makes none.
+    pub fn name_lookups(&self) -> u64 {
+        self.name_lookups
+    }
+
+    /// Resolves every unresolved condition through the sampler's name
+    /// index (a name resolves to its first registration) and rebuilds the
+    /// series → rules map, if rules were added or series registered since
+    /// the last bind. Returns whether it did.
+    fn bind(&mut self, sampler: &Sampler) -> bool {
+        let now = (self.rules.len(), sampler.series.len());
+        if now == self.bound_at {
+            return false;
+        }
+        self.bound_at = now;
+        self.readers = vec![Vec::new(); sampler.series.len()];
+        for (r, (rule, bound)) in self.rules.iter().zip(&mut self.bound).enumerate() {
+            let conds = [Some(&rule.primary), rule.guard.as_ref()];
+            for (cond, id) in conds.into_iter().zip(bound.iter_mut()) {
+                if let (Some(cond), None) = (cond, *id) {
+                    self.name_lookups += 1;
+                    *id = sampler.series_id(&cond.series);
+                }
+                if let Some(SeriesId(s)) = *id {
+                    self.readers[s].push(r);
+                }
+            }
+        }
+        true
+    }
+
     /// Evaluates every rule against the most recently closed window.
-    /// Call once per window close, after all series are sampled. When a
-    /// rule's streak reaches its `consecutive` target the anomaly is
-    /// recorded once (the streak keeps counting, so a second anomaly for
-    /// the same rule requires the condition to lapse and persist again)
-    /// and, if `tracer` is enabled, an `anomaly` span covering the whole
-    /// breached stretch is emitted on the `telemetry` layer.
+    /// Call once per window close, after the window's samples are
+    /// committed. When a rule's streak reaches its `consecutive` target
+    /// the anomaly is recorded once (the streak keeps counting, so a
+    /// second anomaly for the same rule requires the condition to lapse
+    /// and persist again) and, if `tracer` is enabled, an `anomaly` span
+    /// covering the whole breached stretch is emitted on the `telemetry`
+    /// layer. A condition whose series does not exist never holds.
+    ///
+    /// A close evaluates only the rules that can change state there:
+    /// those reading a series sampled at this close or the previous one,
+    /// and those with a running streak. Any other rule reads the same idle
+    /// values it read, and found false, at its last evaluation. After a
+    /// bind, or a close that was not evaluated, every rule is evaluated.
     pub fn evaluate(&mut self, sampler: &Sampler, tracer: &Tracer) {
+        let rebound = self.bind(sampler);
         let Some(window) = sampler.closed_windows().checked_sub(1) else {
             return;
         };
+        if rebound {
+            // Two closes: a series registered during this close reads
+            // `None` here and its idle value at the next one.
+            self.full_closes = 2;
+        } else if self.last_window.is_none_or(|w| w + 1 != window) {
+            self.full_closes = self.full_closes.max(1);
+        }
+        self.last_window = Some(window);
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        if self.full_closes > 0 {
+            self.full_closes -= 1;
+            due.extend(0..self.rules.len());
+        } else {
+            due.extend_from_slice(&self.carry);
+            for &SeriesId(s) in &sampler.sampled {
+                due.extend_from_slice(&self.readers[s]);
+            }
+            due.sort_unstable();
+            // `dedup_by_key`: the lint's name-based call graph would
+            // resolve a plain `dedup` to `Filesystem::dedup`.
+            due.dedup_by_key(|&mut i| i);
+        }
+        self.carry.clear();
+        for &SeriesId(s) in &sampler.sampled {
+            self.carry.extend_from_slice(&self.readers[s]);
+        }
         let at = sampler.window_end(window);
-        for (i, rule) in self.rules.iter().enumerate() {
-            let value = rule.primary.holds(sampler, window).filter(|_| {
+        for &i in &due {
+            let rule = &self.rules[i];
+            let [primary, guard] = self.bound[i];
+            let value = rule.primary.holds(primary, sampler, window).filter(|_| {
                 rule.guard
                     .as_ref()
-                    .is_none_or(|g| g.holds(sampler, window).is_some())
+                    .is_none_or(|g| g.holds(guard, sampler, window).is_some())
             });
             match value {
                 Some(v) => {
@@ -644,7 +878,11 @@ impl SloWatchdog {
                 }
                 None => self.streaks[i] = 0,
             }
+            if self.streaks[i] > 0 {
+                self.carry.push(i);
+            }
         }
+        self.due = due;
     }
 
     /// All anomalies recorded so far, in emission order.
@@ -662,8 +900,8 @@ impl SloWatchdog {
 /// sample ring. All values are integers, so the output is byte-stable for
 /// a deterministic run.
 pub fn series_json(sampler: &Sampler) -> serde_json::Value {
-    let mut names: Vec<&TimeSeries> = sampler.series().iter().collect();
-    names.sort_by(|a, b| a.name.cmp(&b.name));
+    let mut names: Vec<TimeSeries> = sampler.series().collect();
+    names.sort_by(|a, b| a.name().cmp(b.name()));
     let series: Vec<serde_json::Value> = names
         .iter()
         .map(|s| {
@@ -672,7 +910,7 @@ pub fn series_json(sampler: &Sampler) -> serde_json::Value {
                 "unit": s.unit(),
                 "kind": s.kind().as_str(),
                 "first_window": s.first_window(),
-                "samples": s.samples.iter().copied().collect::<Vec<u64>>(),
+                "samples": s.samples().map(|(_, v)| v).collect::<Vec<u64>>(),
             })
         })
         .collect();
@@ -687,8 +925,8 @@ pub fn series_json(sampler: &Sampler) -> serde_json::Value {
 /// (`window,end_ns` then one column per series, sorted by name; windows a
 /// ring has already evicted render as empty cells).
 pub fn series_csv(sampler: &Sampler) -> String {
-    let mut cols: Vec<&TimeSeries> = sampler.series().iter().collect();
-    cols.sort_by(|a, b| a.name.cmp(&b.name));
+    let mut cols: Vec<TimeSeries> = sampler.series().collect();
+    cols.sort_by(|a, b| a.name().cmp(b.name()));
     let mut out = String::from("window,end_ns");
     for c in &cols {
         out.push(',');
@@ -713,8 +951,8 @@ pub fn series_csv(sampler: &Sampler) -> String {
 /// sample of every series — one counter track per series name, timestamped
 /// at each window's end.
 pub fn counter_track_events(sampler: &Sampler) -> Vec<serde_json::Value> {
-    let mut cols: Vec<&TimeSeries> = sampler.series().iter().collect();
-    cols.sort_by(|a, b| a.name.cmp(&b.name));
+    let mut cols: Vec<TimeSeries> = sampler.series().collect();
+    cols.sort_by(|a, b| a.name().cmp(b.name()));
     let mut events = Vec::new();
     for c in cols {
         for (w, v) in c.samples() {
@@ -847,6 +1085,42 @@ mod tests {
     }
 
     #[test]
+    fn unsampled_windows_take_idle_values() {
+        let mut s = Sampler::new(dur(10), 3);
+        let c = s.register("c", "ops", SeriesKind::Counter);
+        let g = s.register("g", "n", SeriesKind::Gauge);
+        let p = s.register_window_stat("p", "ns");
+        assert!(s.due(t(10)).is_some());
+        s.sample(c, 5);
+        s.sample(g, 4);
+        s.sample(p, 900);
+        // Four idle windows outlast the ring of three.
+        for w in 2..=5u64 {
+            assert!(s.due(t(w * 10)).is_some());
+        }
+        s.sample(c, 8);
+        let values = |name: &str| {
+            let ring = s.series_by_name(name).unwrap();
+            (
+                ring.first_window(),
+                ring.samples().map(|(_, v)| v).collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(
+            values("c"),
+            (2, vec![0, 0, 3]),
+            "zero deltas, then the catch-up"
+        );
+        assert_eq!(values("g"), (2, vec![4, 4, 4]), "a gauge holds its value");
+        assert_eq!(
+            values("p"),
+            (2, vec![0, 0, 0]),
+            "a window statistic reads 0"
+        );
+        assert_eq!(s.samples_committed(), 4, "idle windows commit nothing");
+    }
+
+    #[test]
     fn utilization_ppm_scales_and_clamps() {
         assert_eq!(utilization_ppm(dur(50), dur(100)), 500_000);
         assert_eq!(utilization_ppm(dur(200), dur(100)), 1_000_000, "clamped");
@@ -945,6 +1219,27 @@ mod tests {
         s.sample(g, 1);
         wd.evaluate(&s, &Tracer::disabled());
         assert!(wd.anomalies().is_empty());
+    }
+
+    #[test]
+    fn watchdog_catches_up_after_a_close_it_did_not_evaluate() {
+        let mut s = Sampler::new(dur(10), 4);
+        let g = s.register("g", "n", SeriesKind::Gauge);
+        let mut wd = SloWatchdog::new();
+        wd.add_rule(SloRule::parse("g above 3 for 1").unwrap());
+        let tracer = Tracer::disabled();
+        for w in 0..3u64 {
+            assert!(s.due(t((w + 1) * 10)).is_some());
+            wd.evaluate(&s, &tracer);
+        }
+        // Window 3 samples the breach but is not evaluated; window 4
+        // holds the value without a sample.
+        assert!(s.due(t(40)).is_some());
+        s.sample(g, 10);
+        assert!(s.due(t(50)).is_some());
+        wd.evaluate(&s, &tracer);
+        assert_eq!(wd.anomalies().len(), 1);
+        assert_eq!(wd.anomalies()[0].window, 4);
     }
 
     #[test]

@@ -28,7 +28,8 @@ use std::fmt;
 
 use nesc_core::{CompletionStatus, FuncId};
 use nesc_hypervisor::{
-    NescError, OpenRequest, ScenarioSpec, System, SystemBuilder, TelemetryConfig, TenantClass,
+    NescError, OpenRequest, ScenarioSpec, System, SystemBuilder, TelemetryConfig, TelemetryWork,
+    TenantClass,
 };
 use nesc_sim::selfcheck::fnv1a_word;
 use nesc_sim::{BurstyArrivals, Histogram, RunDigest, SimDuration, SimRng, SimTime, ZipfLike};
@@ -155,6 +156,8 @@ pub struct ScenarioReport {
     pub lorenz_permille: Vec<u64>,
     /// SLO watchdog anomalies emitted during the run.
     pub slo_violations: u64,
+    /// Telemetry work counters of the run (windows, samples, lookups).
+    pub telemetry_work: TelemetryWork,
     /// Final hash of the run's event digest (replay fingerprint).
     pub digest: u64,
 }
@@ -260,6 +263,7 @@ impl Scenario {
         });
         sys.telemetry_finish();
         let slo_violations = sys.telemetry().map_or(0, |t| t.anomalies().len() as u64);
+        let telemetry_work = sys.telemetry().map(|t| t.work()).unwrap_or_default();
         digest.section("slo_violations", slo_violations);
         let makespan = sys.now().saturating_since(base);
 
@@ -302,6 +306,7 @@ impl Scenario {
             jain_permille,
             lorenz_permille,
             slo_violations,
+            telemetry_work,
             digest: digest.final_hash(),
         };
         Ok((report, digest))
