@@ -1,8 +1,8 @@
 //! Runtime divergence self-check gate for `scripts/check.sh`.
 //!
 //! Runs the mixed multi-VF workload **twice from the same seed** and
-//! compares the full run digests (event sequence, span tree, metrics
-//! registry at every checkpoint). Identical digests exit 0; any
+//! compares the full run digests (event sequence at every checkpoint,
+//! span tree, telemetry, flight recorder and forensic dump). Identical digests exit 0; any
 //! difference prints the first diverging event and exits 1 — that means
 //! a nondeterminism bug escaped `nesc-lint`'s static rules.
 //!

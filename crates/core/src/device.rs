@@ -43,7 +43,6 @@ use crate::function::{FunctionContext, FunctionKind, PendingRequest, StalledRequ
 use crate::regs::{self, offsets, FunctionRegisters};
 use crate::ring::RingState;
 use crate::stats::{DeviceStats, FuncStats};
-use crate::trace::RequestTrace;
 
 /// Index of a function on the device; `FuncId(0)` is always the PF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -239,11 +238,6 @@ pub struct NescDevice {
     stats: DeviceStats,
     /// Per-function service counters, struct-of-arrays by dense func id.
     func_stats: FuncStats,
-    tracing: bool,
-    /// `tracing || tracer.is_enabled()`, cached so the request hot path
-    /// pays a single flag test when both are off.
-    instrumented: bool,
-    traces: Vec<RequestTrace>,
     /// Span tracer shared with the hypervisor (no-op unless enabled).
     tracer: Tracer,
     /// Device span of the request currently in the pipeline; translation,
@@ -316,9 +310,6 @@ impl NescDevice {
             stall_level: None,
             stats: DeviceStats::default(),
             func_stats: FuncStats::with_len(1),
-            tracing: false,
-            instrumented: false,
-            traces: Vec::new(),
             tracer: Tracer::disabled(),
             cur_span: SpanId::NONE,
             flight: FlightHandle::disabled(),
@@ -364,18 +355,6 @@ impl NescDevice {
         &self.btlb
     }
 
-    /// Enables or disables per-request tracing (off by default; traces
-    /// accumulate until [`take_traces`](Self::take_traces)).
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-        self.instrumented = self.tracing || self.tracer.is_enabled();
-    }
-
-    /// Drains the recorded request traces, oldest first.
-    pub fn take_traces(&mut self) -> Vec<RequestTrace> {
-        std::mem::take(&mut self.traces)
-    }
-
     /// Attaches a span tracer (cloned into the PCIe link): every request
     /// the device processes emits a `core`-layer device span — with
     /// translation, extent-walk, media and DMA child spans — parented on
@@ -383,7 +362,6 @@ impl NescDevice {
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.link.set_tracer(tracer.clone());
         self.tracer = tracer;
-        self.instrumented = self.tracing || self.tracer.is_enabled();
     }
 
     /// Attaches a flight recorder: queue, scheduler, BTLB, media and link
@@ -1007,88 +985,49 @@ impl NescDevice {
         from_block: u64,
         resumed: bool,
     ) {
-        if !self.instrumented {
+        if !self.tracer.is_enabled() {
             return self.process_vf_request_inner(start, func, pending, from_block);
         }
-        let spans = self.tracer.is_enabled();
-        let dev_span = if spans {
-            let parent = self.tracer.bound(pending.req.id.0);
-            // A resumed request gets a fresh span starting at the resume
-            // point; the original one closed at its miss interrupt.
-            let (name, opened) = if resumed {
-                ("device_resume", start)
-            } else {
-                ("device", pending.arrived)
-            };
-            let s = self.tracer.start(parent, "core", name, opened);
-            self.tracer.attr(s, "func", func.0 as u64);
-            self.tracer.attr(s, "blocks", pending.req.block_count);
-            if !resumed && start > pending.arrived {
-                self.tracer.span(s, "core", "queue", pending.arrived, start);
-            }
-            self.cur_span = s;
-            self.link.set_span_parent(s);
-            s
+        let parent = self.tracer.bound(pending.req.id.0);
+        // A resumed request gets a fresh span starting at the resume point;
+        // the original one closed at its miss interrupt.
+        let (name, opened) = if resumed {
+            ("device_resume", start)
         } else {
-            SpanId::NONE
+            ("device", pending.arrived)
         };
-        let walks0 = self.stats.walks;
-        let hits0 = self.btlb.hits();
+        let dev_span = self.tracer.start(parent, "core", name, opened);
+        self.tracer.attr(dev_span, "func", func.0 as u64);
+        self.tracer
+            .attr(dev_span, "blocks", pending.req.block_count);
+        if !resumed && start > pending.arrived {
+            self.tracer
+                .span(dev_span, "core", "queue", pending.arrived, start);
+        }
+        self.cur_span = dev_span;
+        self.link.set_span_parent(dev_span);
         let out0 = self.outputs.len();
         self.process_vf_request_inner(start, func, pending, from_block);
-        let completion = self.outputs[out0..].iter().find_map(|o| match o {
-            NescOutput::Completion { at, id, status, .. } if *id == pending.req.id => {
-                Some((*at, *status))
-            }
+        let completed = self.outputs[out0..].iter().find_map(|o| match o {
+            NescOutput::Completion { at, id, .. } if *id == pending.req.id => Some(*at),
             _ => None,
         });
-        if spans {
-            match completion {
-                Some((at, _)) => self.tracer.end(dev_span, at),
-                None => {
-                    // Stalled on a translation miss: close this span at the
-                    // miss interrupt; the resume opens its own span.
-                    if let Some(at) = self.outputs[out0..].iter().find_map(|o| match o {
-                        NescOutput::HostInterrupt { at, .. } => Some(*at),
-                        _ => None,
-                    }) {
-                        self.tracer.attr(dev_span, "stalled", 1);
-                        self.tracer.end(dev_span, at);
-                    }
+        match completed {
+            Some(at) => self.tracer.end(dev_span, at),
+            None => {
+                // Stalled on a translation miss: close this span at the
+                // miss interrupt; the resume opens its own span.
+                if let Some(at) = self.outputs[out0..].iter().find_map(|o| match o {
+                    NescOutput::HostInterrupt { at, .. } => Some(*at),
+                    _ => None,
+                }) {
+                    self.tracer.attr(dev_span, "stalled", 1);
+                    self.tracer.end(dev_span, at);
                 }
             }
-            self.cur_span = SpanId::NONE;
-            self.link.set_span_parent(SpanId::NONE);
         }
-        if !self.tracing {
-            return;
-        }
-        if let Some((at, status)) = completion {
-            debug_assert!(
-                pending.arrived <= start && start <= at,
-                "request {:?} timestamps must be monotonic: arrived {} dispatched {} completed {}",
-                pending.req.id,
-                pending.arrived,
-                start,
-                at
-            );
-            self.traces.push(RequestTrace {
-                id: pending.req.id,
-                func,
-                op: pending.req.op,
-                lba: pending.req.lba,
-                blocks: pending.req.block_count,
-                arrived: pending.arrived,
-                // For a resumed request this is the resume point; the
-                // original dispatch was before the stall.
-                dispatched: start,
-                completed: at,
-                walks: (self.stats.walks - walks0) as u32,
-                btlb_hits: (self.btlb.hits() - hits0) as u32,
-                stalled: resumed,
-                status,
-            });
-        }
+        self.cur_span = SpanId::NONE;
+        self.link.set_span_parent(SpanId::NONE);
     }
 
     fn process_vf_request_inner(
@@ -1751,6 +1690,7 @@ impl NescDevice {
 mod tests {
     use super::*;
     use nesc_extent::{ExtentMapping, ExtentTree};
+    use nesc_sim::{Span, SpanTree};
 
     const HORIZON: SimTime = SimTime::from_nanos(u64::MAX / 2);
 
@@ -2395,7 +2335,8 @@ mod tests {
     #[test]
     fn tracing_records_request_lifecycle() {
         let (mem, mut dev) = setup();
-        dev.set_tracing(true);
+        let tracer = Tracer::enabled();
+        dev.set_tracer(tracer.clone());
         let vf = make_vf(
             &mem,
             &mut dev,
@@ -2403,6 +2344,7 @@ mod tests {
             64,
         );
         let buf = alloc_buf(&mem, 4);
+        let hits0 = dev.stats().btlb_hits;
         let t0 = dev.ring_doorbell(SimTime::ZERO);
         dev.submit(
             t0,
@@ -2410,34 +2352,49 @@ mod tests {
             BlockRequest::new(RequestId(1), BlockOp::Read, Vlba(0), 4),
             buf,
         );
+        let outs = dev.advance(HORIZON);
+        let done = outs.iter().find(|o| o.is_completion()).unwrap().at();
+        let hits1 = dev.stats().btlb_hits;
+        assert_eq!(hits1 - hits0, 3, "first block walks, the rest hit");
         dev.submit(
-            t0,
+            done,
             vf,
             BlockRequest::new(RequestId(2), BlockOp::Read, Vlba(4), 4),
             buf,
         );
         dev.advance(HORIZON);
-        let traces = dev.take_traces();
-        assert_eq!(traces.len(), 2);
-        let t = &traces[0];
-        assert_eq!(t.id, RequestId(1));
-        assert_eq!(t.blocks, 4);
-        assert_eq!(t.walks, 1, "first block walks");
-        assert_eq!(t.btlb_hits, 3, "rest hit the fresh extent");
-        assert!(!t.stalled);
-        assert!(t.completed > t.dispatched && t.dispatched >= t.arrived);
-        assert!(t.latency() > t.queueing());
-        // Second request is all hits.
-        assert_eq!(traces[1].walks, 0);
-        assert_eq!(traces[1].btlb_hits, 4);
-        // Drained: nothing left.
-        assert!(dev.take_traces().is_empty());
+        assert_eq!(
+            dev.stats().btlb_hits - hits1,
+            4,
+            "second request is all hits"
+        );
+
+        let tree = SpanTree::new(tracer.take_spans());
+        let devs: Vec<&Span> = tree
+            .roots()
+            .filter(|s| (s.layer, s.name) == ("core", "device"))
+            .collect();
+        assert_eq!(devs.len(), 2);
+        let walks = |s: &Span| {
+            tree.children(s.id)
+                .filter(|c| (c.layer, c.name) == ("extent", "walk"))
+                .count()
+        };
+        assert_eq!(walks(devs[0]), 1, "first request walks once");
+        assert_eq!(walks(devs[1]), 0, "second request hits the fresh extent");
+        for s in &devs {
+            assert_eq!(s.attr("blocks"), Some(4));
+            assert_eq!(s.attr("stalled"), None);
+            assert!(s.end > s.start);
+        }
+        assert!(tracer.is_empty(), "drained");
     }
 
     #[test]
     fn tracing_marks_resumed_requests_as_stalled() {
         let (mem, mut dev) = setup();
-        dev.set_tracing(true);
+        let tracer = Tracer::enabled();
+        dev.set_tracer(tracer.clone());
         let vf = make_vf(&mem, &mut dev, &[], 8);
         let buf = alloc_buf(&mem, 1);
         dev.submit(
@@ -2447,7 +2404,10 @@ mod tests {
             buf,
         );
         let outs = dev.advance(HORIZON);
-        assert!(dev.take_traces().is_empty(), "no trace while stalled");
+        assert!(
+            !outs.iter().any(|o| o.is_completion()),
+            "stalled on the miss"
+        );
         let irq_at = outs.iter().find(|o| !o.is_completion()).unwrap().at();
         let tree: ExtentTree = [ExtentMapping::new(Vlba(0), Plba(50), 1)]
             .into_iter()
@@ -2455,19 +2415,39 @@ mod tests {
         let root = tree.serialize(&mut mem.borrow_mut());
         dev.mmio_write(vf, offsets::EXTENT_TREE_ROOT, root, irq_at);
         dev.mmio_write(vf, offsets::REWALK_TREE, 1, irq_at);
-        dev.advance(HORIZON);
-        let traces = dev.take_traces();
-        assert_eq!(traces.len(), 1);
-        assert!(
-            traces[0].stalled,
+        let outs = dev.advance(HORIZON);
+        let done = outs.iter().find_map(|o| match o {
+            NescOutput::Completion { at, status, .. } => Some((*at, *status)),
+            _ => None,
+        });
+        let (done, status) = done.unwrap();
+        assert!(matches!(status, CompletionStatus::Ok));
+
+        let spans = tracer.take_spans();
+        let named = |name: &str| {
+            let found: Vec<&Span> = spans.iter().filter(|s| s.name == name).collect();
+            assert_eq!(found.len(), 1, "one {name} span");
+            found[0]
+        };
+        let missed = named("device");
+        assert_eq!(
+            missed.attr("stalled"),
+            Some(1),
             "a request that missed is stalled even when it resumes from block 0"
         );
-        assert!(matches!(traces[0].status, CompletionStatus::Ok));
+        assert_eq!(missed.end, irq_at, "closed at the miss interrupt");
+        let resumed = named("device_resume");
+        assert_eq!(resumed.attr("stalled"), None);
+        assert!(resumed.start >= irq_at);
+        assert_eq!(resumed.end, done);
     }
 
     #[test]
     fn tracing_off_records_nothing() {
         let (mem, mut dev) = setup();
+        let tracer = Tracer::enabled();
+        dev.set_tracer(tracer.clone());
+        dev.set_tracer(Tracer::disabled());
         let vf = make_vf(
             &mem,
             &mut dev,
@@ -2481,8 +2461,9 @@ mod tests {
             BlockRequest::new(RequestId(1), BlockOp::Read, Vlba(0), 1),
             buf,
         );
-        dev.advance(HORIZON);
-        assert!(dev.take_traces().is_empty());
+        let outs = dev.advance(HORIZON);
+        assert!(outs.iter().any(|o| o.is_completion()));
+        assert!(tracer.is_empty());
     }
 
     #[test]

@@ -76,7 +76,6 @@ pub mod function;
 pub mod regs;
 pub mod ring;
 pub mod stats;
-pub mod trace;
 
 pub use btlb::Btlb;
 pub use config::NescConfig;
@@ -85,4 +84,3 @@ pub use function::{FunctionContext, FunctionKind};
 pub use regs::FunctionRegisters;
 pub use ring::{RingDescriptor, RingState};
 pub use stats::{DeviceStats, FuncStats};
-pub use trace::RequestTrace;

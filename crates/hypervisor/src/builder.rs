@@ -1,9 +1,10 @@
 //! Typed construction of a [`System`].
 //!
 //! [`SystemBuilder`] is the front door of the facade: it gathers the
-//! device configuration, the software cost model, and the observability
-//! options (span tracing, media throttling) into one fluent call chain,
-//! so harnesses and examples don't have to thread `NescConfig` /
+//! device configuration (including media throttling), the software cost
+//! model, and the observability options (span tracing, telemetry with its
+//! SLO rules, the flight recorder) into one fluent call chain, so
+//! harnesses and examples don't have to thread `NescConfig` /
 //! `SoftwareCosts` pairs around by hand.
 //!
 //! # Example
@@ -31,14 +32,13 @@ use crate::telemetry::TelemetryConfig;
 
 /// Fluent builder over [`NescConfig`] + [`SoftwareCosts`] + observability
 /// options. Defaults reproduce the paper's prototype
-/// ([`NescConfig::prototype`], [`SoftwareCosts::calibrated`]) with tracing
-/// off.
+/// ([`NescConfig::prototype`], [`SoftwareCosts::calibrated`]) with tracing,
+/// telemetry and the flight recorder off.
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
     cfg: NescConfig,
     costs: SoftwareCosts,
     tracing: bool,
-    request_tracing: bool,
     media_throttle: Option<u64>,
     telemetry: Option<TelemetryConfig>,
 }
@@ -57,7 +57,6 @@ impl SystemBuilder {
             cfg: NescConfig::prototype(),
             costs: SoftwareCosts::calibrated(),
             tracing: false,
-            request_tracing: false,
             media_throttle: None,
             telemetry: None,
         }
@@ -188,15 +187,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Enables the device's per-request [`RequestTrace`] recording
-    /// (BTLB hits, walks, stall flags) alongside or instead of spans.
-    ///
-    /// [`RequestTrace`]: nesc_core::RequestTrace
-    pub fn request_tracing(mut self, on: bool) -> Self {
-        self.request_tracing = on;
-        self
-    }
-
     /// Assembles the system.
     ///
     /// # Panics
@@ -207,9 +197,6 @@ impl SystemBuilder {
         let mut sys = System::new(self.cfg, self.costs);
         if self.tracing {
             sys.set_tracing(true);
-        }
-        if self.request_tracing {
-            sys.device_mut().set_tracing(true);
         }
         if let Some(b) = self.media_throttle {
             sys.device_mut().set_media_throttle(Some(b));

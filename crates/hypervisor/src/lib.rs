@@ -62,8 +62,9 @@ pub use workload::{ScenarioSpec, TenantClass, TenantIo, TenantSpec, Workload, Wo
 /// One-stop imports for harnesses, examples, and tests.
 ///
 /// Pulls in the facade types (builder, system handles, error enum), the
-/// simulation time types, and the observability surface (tracer, spans,
-/// metrics) so a typical experiment needs a single `use`.
+/// simulation time types, and the observability surface (tracer and
+/// spans, telemetry sampler and SLO watchdog, flight recorder) so a
+/// typical experiment needs a single `use`.
 pub mod prelude {
     pub use crate::builder::SystemBuilder;
     pub use crate::costs::SoftwareCosts;
@@ -79,8 +80,8 @@ pub mod prelude {
     pub use nesc_core::NescConfig;
     pub use nesc_sim::{
         chrome_trace_json, AnomalyEvent, Exemplar, FlightConfig, FlightEvent, FlightEventKind,
-        FlightHandle, Metrics, Sampler, SimDuration, SimTime, SloRule, SloWatchdog, Span, SpanId,
-        SpanTree, Tracer,
+        FlightHandle, Sampler, SimDuration, SimTime, SloRule, SloWatchdog, Span, SpanId, SpanTree,
+        Tracer,
     };
     pub use nesc_storage::BlockOp;
 }

@@ -31,8 +31,8 @@ use nesc_extent::{Plba, Untrusted, Vlba};
 use nesc_fs::{Filesystem, FsError, Ino};
 use nesc_pcie::{HostAddr, HostMemory};
 use nesc_sim::{
-    FlightEventKind, FlightHandle, Metrics, ServiceUnit, SimDuration, SimTime, Span, SpanId,
-    Throughput, Tracer,
+    FlightEventKind, FlightHandle, ServiceUnit, SimDuration, SimTime, Span, SpanId, Throughput,
+    Tracer,
 };
 use nesc_storage::{BlockOp, BlockRequest, RequestId, BLOCK_SIZE};
 use nesc_virtio::{BlkRequest, BlkRequestType, BlkStatus, Virtqueue};
@@ -179,8 +179,6 @@ pub struct System {
     completed: BTreeMap<RequestId, (SimTime, CompletionStatus)>,
     /// Span tracer shared with the device (no-op until enabled).
     tracer: Tracer,
-    /// Named counters + latency histograms accumulated per request.
-    metrics: Metrics,
     /// Deterministic time-series sampling + SLO watchdog (None = off; the
     /// request path pays one `Option` check when disabled).
     telemetry: Option<Telemetry>,
@@ -220,7 +218,6 @@ impl System {
             next_req: 1,
             completed: BTreeMap::new(),
             tracer: Tracer::disabled(),
-            metrics: Metrics::new(),
             telemetry: None,
             flight: FlightHandle::disabled(),
         }
@@ -253,18 +250,6 @@ impl System {
     /// Drains all spans recorded so far, in creation order.
     pub fn take_spans(&mut self) -> Vec<Span> {
         self.tracer.take_spans()
-    }
-
-    /// The accumulated metrics registry (per-path request counters and
-    /// latency histograms).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Mutable metrics access (harnesses fold their own counters in
-    /// before exporting).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
     }
 
     /// Enables telemetry: installs the perfmon sampler + SLO watchdog and
@@ -652,37 +637,6 @@ impl System {
         len.div_ceil(4096)
     }
 
-    /// Per-request metric keys of a path: requests, bytes, OK latency,
-    /// errors. Static, so accounting a request allocates nothing.
-    fn path_keys(kind: DiskKind) -> [&'static str; 4] {
-        match kind {
-            DiskKind::NescDirect => [
-                "requests_nesc_direct",
-                "bytes_nesc_direct",
-                "latency_ns_nesc_direct",
-                "errors_nesc_direct",
-            ],
-            DiskKind::Virtio => [
-                "requests_virtio",
-                "bytes_virtio",
-                "latency_ns_virtio",
-                "errors_virtio",
-            ],
-            DiskKind::Emulated => [
-                "requests_emulated",
-                "bytes_emulated",
-                "latency_ns_emulated",
-                "errors_emulated",
-            ],
-            DiskKind::HostRaw => [
-                "requests_host_raw",
-                "bytes_host_raw",
-                "latency_ns_host_raw",
-                "errors_host_raw",
-            ],
-        }
-    }
-
     /// Issues one request on a disk at `issue` time without advancing the
     /// global clock; returns the guest-observed completion time and the
     /// request's final status. `data` is written for writes; for reads the
@@ -720,7 +674,7 @@ impl System {
             SpanId::NONE
         };
         // The id the engine below will mint first — what the flight
-        // recorder's exemplar notes and ring events join on.
+        // recorder's exemplars and ring events join on.
         let seq = self.next_req;
         let (done, status) = match kind {
             DiskKind::NescDirect => self.direct_io(disk_id, op, offset, len, issue, data, root),
@@ -734,29 +688,15 @@ impl System {
                 .attr(root, "failed", (status != CompletionStatus::Ok) as u64);
             self.tracer.end(root, done);
         }
-        let [requests, bytes, latency_ns, errors] = Self::path_keys(kind);
-        self.metrics.inc(requests, 1);
-        self.metrics.inc(bytes, len);
-        if status == CompletionStatus::Ok {
-            self.metrics.record(latency_ns, (done - issue).as_nanos());
-        } else {
-            self.metrics.inc(errors, 1);
-        }
-        // Deferred telemetry: append one fixed-size observation record and
+        // Deferred telemetry: append one fixed-size completion record and
         // poll only when this completion crosses a window boundary. The
         // poll folds records into windows by timestamp, so the observation
         // lands in the window containing its completion time exactly as
-        // the historical poll-then-record sequence did.
-        // nesc-lint: hot
-        if self.flight.is_enabled() {
-            // Note the completion for exemplar selection *before* the
-            // poll below, so a window closing at `done` folds it in.
-            self.flight
-                .note_request(done, seq, disk_id.0 as u32, (done - issue).as_nanos(), root);
-        }
+        // the historical poll-then-record sequence did, and the flight
+        // recorder picks its exemplars from the same folded records.
         // nesc-lint: hot
         if let Some(tel) = self.telemetry.as_mut() {
-            tel.record_request(done, disk_id, len, done - issue);
+            tel.record_request(done, seq, disk_id, len, done - issue, root);
             if tel.due(done) {
                 tel.poll(done, &self.dev, &self.tracer);
             }

@@ -26,6 +26,12 @@
 //! drops to an append. No wall clock, no background thread — the same
 //! seed produces byte-identical time series.
 //!
+//! The completion record is the only note the hot path makes of a
+//! finished request. It carries the request's sequence id and root span
+//! as well, so when the flight recorder is enabled the window close hands
+//! the window's folded records to [`FlightHandle::close_window`], which
+//! picks the worst-K exemplars from them.
+//!
 //! A window close costs O(fixed series + dirty VFs + rules), not O(VFs).
 //! A disk is *dirty* in a window if a completion was folded into it; only
 //! dirty disks have their `hv.vf<d>.*` and `core.ring_depth.f<f>` series
@@ -56,8 +62,9 @@
 
 use nesc_core::{FuncId, NescDevice};
 use nesc_sim::perfmon::{series_json, utilization_ppm, SeriesKind};
+use nesc_sim::Tracer;
 use nesc_sim::{AnomalyEvent, Histogram, Sampler, SeriesId, SimDuration, SloRule, SloWatchdog};
-use nesc_sim::{FlightConfig, FlightEventKind, FlightHandle, SimTime, Tracer};
+use nesc_sim::{CompletedRequest, FlightConfig, FlightEventKind, FlightHandle, SimTime, SpanId};
 
 use crate::system::DiskId;
 
@@ -158,17 +165,14 @@ struct VfSeries {
 }
 
 /// One deferred per-request observation: appended by the hot path, folded
-/// into its disk's raw counters when the window containing `t_ns` closes.
+/// into its disk's raw counters when the window containing `done.t_ns`
+/// closes, and offered to the flight recorder's exemplar selection.
 #[derive(Debug, Clone, Copy)]
 struct PendingObs {
-    /// Completion time (nanoseconds) — decides the window it lands in.
-    t_ns: u64,
-    /// Disk index (dense attach order).
-    disk: u32,
+    /// Completion time, sequence id, disk, latency and root span.
+    done: CompletedRequest,
     /// Request payload bytes.
     bytes: u64,
-    /// Completion latency in nanoseconds.
-    latency_ns: u64,
 }
 
 /// The assembled telemetry subsystem (see the module docs).
@@ -317,20 +321,27 @@ impl Telemetry {
     /// disk's raw counters when the window containing `done` closes, so it
     /// lands in exactly the window an eager record-after-poll would have
     /// (a record at `t` is visible to a window ending at `W` iff `t < W`).
+    /// `seq` and `root` identify the request to the flight recorder.
     // nesc-lint: hot
     #[inline]
     pub fn record_request(
         &mut self,
         done: SimTime,
+        seq: u64,
         disk: DiskId,
         bytes: u64,
         latency: SimDuration,
+        root: SpanId,
     ) {
         self.pending.push(PendingObs {
-            t_ns: done.as_nanos(),
-            disk: disk.0 as u32,
+            done: CompletedRequest {
+                t_ns: done.as_nanos(),
+                seq,
+                disk: disk.0 as u32,
+                latency_ns: latency.as_nanos(),
+                root,
+            },
             bytes,
-            latency_ns: latency.as_nanos(),
         });
     }
 
@@ -343,26 +354,31 @@ impl Telemetry {
     }
 
     /// Folds every deferred observation earlier than `window_end_ns` into
-    /// its disk's raw counters, removing it from the pending list and
-    /// marking the disk dirty. Application order does not matter: the raws
-    /// are sums and a histogram, both commutative.
-    fn fold_pending(&mut self, window_end_ns: u64) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].t_ns < window_end_ns {
-                let r = self.pending.swap_remove(i);
-                if let Some(Some(vf)) = self.vfs.get_mut(r.disk as usize) {
-                    vf.raw_requests += 1;
-                    vf.raw_bytes += r.bytes;
-                    if vf.hist.count() == 0 {
-                        self.dirty.push(r.disk as usize);
-                    }
-                    vf.hist.record(r.latency_ns);
+    /// its disk's raw counters, marking the disk dirty, and moves it to the
+    /// front of the pending list. Returns how many were folded: the window
+    /// close offers them to the flight recorder before draining them.
+    /// Application order does not matter: the raws are sums and a
+    /// histogram, both commutative, and exemplar selection is total.
+    fn fold_pending(&mut self, window_end_ns: u64) -> usize {
+        let mut folded = 0;
+        for i in 0..self.pending.len() {
+            let r = self.pending[i];
+            if r.done.t_ns >= window_end_ns {
+                continue;
+            }
+            self.pending.swap(folded, i);
+            folded += 1;
+            let disk = r.done.disk as usize;
+            if let Some(Some(vf)) = self.vfs.get_mut(disk) {
+                vf.raw_requests += 1;
+                vf.raw_bytes += r.bytes;
+                if vf.hist.count() == 0 {
+                    self.dirty.push(disk);
                 }
-            } else {
-                i += 1;
+                vf.hist.record(r.done.latency_ns);
             }
         }
+        folded
     }
 
     /// Accounts one miss-handler rewalk service (interrupt to
@@ -382,7 +398,7 @@ impl Telemetry {
             return;
         }
         while let Some(end) = self.sampler.due(now) {
-            self.fold_pending(end.as_nanos());
+            let folded = self.fold_pending(end.as_nanos());
             let interval = self.sampler.interval();
             let stats = dev.stats();
             self.sampler.sample(self.s_btlb_lookups, stats.btlb_lookups);
@@ -454,9 +470,11 @@ impl Telemetry {
             self.watchdog.evaluate(&self.sampler, tracer);
             if self.flight.is_enabled() {
                 let window = self.sampler.closed_windows().saturating_sub(1);
-                self.flight.close_window(end.as_nanos(), window, tracer);
+                let done = self.pending[..folded].iter().map(|p| p.done);
+                self.flight.close_window(window, done, tracer);
                 self.note_anomalies(end);
             }
+            self.pending.drain(..folded);
         }
         self.next_due_ns = self
             .sampler
@@ -724,6 +742,62 @@ mod tests {
         let dump = tel.forensic_dump().expect("first anomaly captured a dump");
         for key in ["anomaly", "series", "flight"] {
             assert!(dump.get(key).is_some(), "dump missing {key}");
+        }
+    }
+
+    #[test]
+    fn exemplars_come_from_the_same_completion_record_as_the_vf_series() {
+        // K and the horizon are large enough to keep every completion, so
+        // each window's exemplars are exactly the requests its counter
+        // counted.
+        let flight = FlightConfig::default()
+            .exemplar_k(64)
+            .exemplar_windows(1 << 20);
+        let cfg = TelemetryConfig::windowed(SimDuration::from_micros(25))
+            .capacity(4096)
+            .flight(flight);
+        let mut sys = SystemBuilder::new()
+            .capacity_blocks(64 * 1024)
+            .telemetry(cfg)
+            .build();
+        let d = sys.quick_disk(DiskKind::NescDirect, "a.img", 1 << 20).disk;
+        let mut latencies = Vec::new();
+        for i in 0..40u64 {
+            latencies.push(sys.write(d, (i % 16) * 4096, &[1u8; 4096]).as_nanos());
+            sys.think(SimDuration::from_micros(7));
+        }
+        sys.think(SimDuration::from_micros(50));
+        sys.telemetry_finish();
+        let tel = sys.telemetry().unwrap();
+        let sampler = tel.sampler();
+        let exemplars = tel.flight().with(|r| r.exemplars().clone()).unwrap();
+        let requests = sampler.series_by_name("hv.vf0.requests").unwrap();
+        assert!(requests.len() > 2, "workload spans windows");
+        for (w, n) in requests.samples() {
+            let kept = exemplars.iter().filter(|e| e.window == w).count() as u64;
+            assert_eq!(kept, n, "window {w}");
+        }
+        let mut got: Vec<u64> = exemplars.iter().map(|e| e.latency_ns).collect();
+        got.sort_unstable();
+        latencies.sort_unstable();
+        assert_eq!(got, latencies, "every request offered exactly once");
+        for e in &exemplars {
+            let (start, end) = (sampler.window_start(e.window), sampler.window_end(e.window));
+            assert!(
+                (start.as_nanos()..end.as_nanos()).contains(&e.t_ns),
+                "request {} completed outside its window {}",
+                e.seq,
+                e.window
+            );
+        }
+        // Within a window, worst latency first, ties to the earlier request.
+        for (a, b) in exemplars.iter().zip(exemplars.iter().skip(1)) {
+            if a.window == b.window {
+                assert!(
+                    (std::cmp::Reverse(a.latency_ns), a.seq)
+                        < (std::cmp::Reverse(b.latency_ns), b.seq)
+                );
+            }
         }
     }
 

@@ -12,12 +12,13 @@
 //!   [`FlightEvent`] into a preallocated ring by index. Zero allocation in
 //!   steady state, one branch when disabled, and the write is inside a
 //!   `nesc-lint: hot` region so rules D7/P2 police it.
-//! * **Exemplars** — the hot path only *notes* request completions
-//!   ([`FlightRecorder::note_request`], a fixed-size push). When a
-//!   telemetry window closes, [`FlightRecorder::close_window`] folds the
-//!   notes by timestamp (an observation at `t` belongs to the window
-//!   ending at `W` iff `t < W`, exactly like the sampler), keeps the
-//!   worst-K by latency, and snapshots their span subtrees via
+//! * **Exemplars** — the recorder keeps no per-request state of its own.
+//!   Telemetry's completion record is the one note the hot path makes of
+//!   a finished request; when a telemetry window closes, telemetry folds
+//!   those records by timestamp (an observation at `t` belongs to the
+//!   window ending at `W` iff `t < W`) and hands the window's
+//!   [`CompletedRequest`]s to [`FlightRecorder::close_window`], which
+//!   keeps the worst-K by latency and snapshots their span subtrees via
 //!   [`Tracer::subtree`] — so the p99-busting requests keep full traces
 //!   while everything else stays coarse.
 //! * **Determinism** — everything is driven by simulated time and
@@ -28,17 +29,25 @@
 //! # Example
 //!
 //! ```
-//! use nesc_sim::{FlightConfig, FlightEventKind, FlightHandle, SimTime, Tracer};
+//! use nesc_sim::{CompletedRequest, FlightConfig, FlightEventKind, FlightHandle, SimTime};
+//! use nesc_sim::{SpanId, Tracer};
 //!
 //! let flight = FlightHandle::enabled(FlightConfig::default());
 //! flight.append(SimTime::from_nanos(10), FlightEventKind::Doorbell, 1, 42, 0);
-//! flight.note_request(SimTime::from_nanos(900), 42, 0, 890, nesc_sim::SpanId::NONE);
-//! flight.close_window(1_000, 0, &Tracer::disabled());
+//! let done = CompletedRequest {
+//!     t_ns: 900,
+//!     seq: 42,
+//!     disk: 0,
+//!     latency_ns: 890,
+//!     root: SpanId::NONE,
+//! };
+//! flight.close_window(0, [done], &Tracer::disabled());
 //! assert_eq!(flight.with(|r| r.total()), Some(1));
 //! assert_eq!(flight.with(|r| r.exemplars().len()), Some(1));
 //! ```
 
 use std::cell::{Cell, Ref, RefCell};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -199,20 +208,21 @@ impl FlightConfig {
     }
 }
 
-/// A hot-path note of one completed request, folded into exemplars when
-/// its window closes (mirrors the perfmon sampler's `PendingObs`).
-#[derive(Debug, Clone, Copy)]
-struct PendingExemplar {
-    /// Completion time in nanoseconds — decides the window it lands in.
-    t_ns: u64,
+/// One completed request of a closing window, as the exemplar selection
+/// reads it. Telemetry's per-request completion record carries these
+/// fields; the recorder keeps no copy of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompletedRequest {
+    /// Completion time in nanoseconds.
+    pub t_ns: u64,
     /// Request sequence id (the device request id minted at issue).
-    seq: u64,
+    pub seq: u64,
     /// Disk index (dense attach order).
-    disk: u32,
+    pub disk: u32,
     /// End-to-end latency in nanoseconds.
-    latency_ns: u64,
+    pub latency_ns: u64,
     /// The request's root span (NONE when tracing is off).
-    root: SpanId,
+    pub root: SpanId,
 }
 
 /// One retained worst-K request: its identity, its window, and the full
@@ -236,13 +246,28 @@ pub struct Exemplar {
     pub spans: Vec<Span>,
 }
 
-/// The recorder itself: the preallocated event ring plus the exemplar
-/// fold state. Usually owned behind a [`FlightHandle`].
+impl Exemplar {
+    /// Selection order: worst latency first, ties to the earlier sequence
+    /// id, then to the remaining fields, so the selection is total and
+    /// does not depend on the order requests are offered in.
+    fn rank(&self) -> (Reverse<u64>, u64, u64, u32, u64) {
+        (
+            Reverse(self.latency_ns),
+            self.seq,
+            self.t_ns,
+            self.disk,
+            self.root,
+        )
+    }
+}
+
+/// The recorder itself: the preallocated event ring plus the retained
+/// exemplars. Usually owned behind a [`FlightHandle`].
 ///
 /// The ring uses `Cell` interior mutability so the hot-path
 /// [`append`](Self::append) takes `&self` — no `RefCell` borrow flag to
 /// maintain per event, and no panic path. The colder exemplar state
-/// (a per-window fold) stays behind `RefCell`s.
+/// (updated once per window) stays behind a `RefCell`.
 #[derive(Debug)]
 pub struct FlightRecorder {
     cfg: FlightConfig,
@@ -253,15 +278,10 @@ pub struct FlightRecorder {
     head: Cell<usize>,
     /// Events ever appended (dropped = total - retained).
     total: Cell<u64>,
-    /// Deferred completion notes since the last window close. Capacity is
-    /// retained across folds.
-    pending: RefCell<Vec<PendingExemplar>>,
     /// Retained exemplars, oldest window first, rank order within a
     /// window. A deque so the per-window eviction pops stale fronts in
     /// O(evicted) instead of shifting the survivors every window.
     exemplars: RefCell<VecDeque<Exemplar>>,
-    /// Scratch for one window's fold (capacity retained).
-    fold_scratch: RefCell<Vec<PendingExemplar>>,
 }
 
 impl FlightRecorder {
@@ -273,9 +293,7 @@ impl FlightRecorder {
             buf,
             head: Cell::new(0),
             total: Cell::new(0),
-            pending: RefCell::new(Vec::new()),
             exemplars: RefCell::new(VecDeque::new()),
-            fold_scratch: RefCell::new(Vec::new()),
         }
     }
 
@@ -300,27 +318,16 @@ impl FlightRecorder {
         }
     }
 
-    /// Notes one completed request for exemplar selection — the hot-path
-    /// append (a fixed-size push; the worst-K fold is deferred to
-    /// [`close_window`](Self::close_window), so capacity is retained).
-    // nesc-lint: hot
-    #[inline]
-    pub fn note_request(&self, done: SimTime, seq: u64, disk: u32, latency_ns: u64, root: SpanId) {
-        self.pending.borrow_mut().push(PendingExemplar {
-            t_ns: done.as_nanos(),
-            seq,
-            disk,
-            latency_ns,
-            root,
-        });
-    }
-
-    /// Folds the completion notes of the window ending at `end_ns`
-    /// (exactly those with `t_ns < end_ns`), keeps the worst-K by latency
-    /// (ties broken by earlier sequence id, so selection is total and
-    /// deterministic), captures each keeper's span subtree, and evicts
+    /// Closes exemplar window `window`: keeps the worst-K of `done` (the
+    /// requests that completed in it) by latency, ties to the earlier
+    /// sequence id, captures each keeper's span subtree, and evicts
     /// exemplar windows older than the retention horizon.
-    pub fn close_window(&self, end_ns: u64, window: u64, tracer: &Tracer) {
+    pub fn close_window(
+        &self,
+        window: u64,
+        done: impl IntoIterator<Item = CompletedRequest>,
+        tracer: &Tracer,
+    ) {
         // Evict first: windows only advance, so the stale exemplars are a
         // prefix of the deque and popping them is O(evicted). New pushes
         // below carry `window` itself and are always retained.
@@ -330,33 +337,31 @@ impl FlightRecorder {
         while exemplars.front().is_some_and(|e| !keep(e)) {
             exemplars.pop_front();
         }
-        let mut pending = self.pending.borrow_mut();
-        if pending.is_empty() || self.cfg.exemplar_k == 0 {
-            pending.clear();
-            return;
-        }
-        let mut scratch = self.fold_scratch.borrow_mut();
-        scratch.clear();
-        let mut i = 0;
-        while i < pending.len() {
-            if pending.get(i).is_some_and(|p| p.t_ns < end_ns) {
-                scratch.push(pending.swap_remove(i));
-            } else {
-                i += 1;
+        // This window's keepers are the deque's tail, kept in rank order
+        // by insertion: O(K) per offered request, no scratch buffer.
+        let first = exemplars.len();
+        let k = self.cfg.exemplar_k;
+        for c in done {
+            let x = Exemplar {
+                window,
+                seq: c.seq,
+                disk: c.disk,
+                t_ns: c.t_ns,
+                latency_ns: c.latency_ns,
+                root: c.root.0,
+                spans: Vec::new(),
+            };
+            let at = exemplars
+                .range(first..)
+                .take_while(|e| e.rank() <= x.rank())
+                .count();
+            if at < k {
+                exemplars.insert(first + at, x);
+                exemplars.truncate(first + k);
             }
         }
-        scratch.sort_by(|x, y| y.latency_ns.cmp(&x.latency_ns).then(x.seq.cmp(&y.seq)));
-        scratch.truncate(self.cfg.exemplar_k);
-        for p in scratch.iter() {
-            exemplars.push_back(Exemplar {
-                window,
-                seq: p.seq,
-                disk: p.disk,
-                t_ns: p.t_ns,
-                latency_ns: p.latency_ns,
-                root: p.root.0,
-                spans: tracer.subtree(p.root),
-            });
+        for x in exemplars.range_mut(first..) {
+            x.spans = tracer.subtree(SpanId(x.root));
         }
     }
 
@@ -487,20 +492,16 @@ impl FlightHandle {
         }
     }
 
-    /// Notes one completed request for exemplar selection (no-op when
-    /// disabled).
-    // nesc-lint: hot
-    #[inline]
-    pub fn note_request(&self, done: SimTime, seq: u64, disk: u32, latency_ns: u64, root: SpanId) {
+    /// Closes exemplar window `window` over the requests that completed
+    /// in it (no-op when disabled).
+    pub fn close_window(
+        &self,
+        window: u64,
+        done: impl IntoIterator<Item = CompletedRequest>,
+        tracer: &Tracer,
+    ) {
         if let Some(rec) = &self.inner {
-            rec.note_request(done, seq, disk, latency_ns, root);
-        }
-    }
-
-    /// Folds the window ending at `end_ns` (no-op when disabled).
-    pub fn close_window(&self, end_ns: u64, window: u64, tracer: &Tracer) {
-        if let Some(rec) = &self.inner {
-            rec.close_window(end_ns, window, tracer);
+            rec.close_window(window, done, tracer);
         }
     }
 
@@ -528,13 +529,22 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
+    fn done(t_ns: u64, seq: u64, latency_ns: u64, root: SpanId) -> CompletedRequest {
+        CompletedRequest {
+            t_ns,
+            seq,
+            disk: 0,
+            latency_ns,
+            root,
+        }
+    }
+
     #[test]
     fn disabled_handle_is_noop() {
         let h = FlightHandle::disabled();
         assert!(!h.is_enabled());
         h.append(t(1), FlightEventKind::Doorbell, 0, 0, 0);
-        h.note_request(t(2), 1, 0, 10, SpanId::NONE);
-        h.close_window(100, 0, &Tracer::disabled());
+        h.close_window(0, [done(2, 1, 10, SpanId::NONE)], &Tracer::disabled());
         assert_eq!(h.snapshot_json(), None);
         assert_eq!(h.digest_hash(), 0);
     }
@@ -562,27 +572,73 @@ mod tests {
     #[test]
     fn worst_k_fold_selects_by_latency_then_seq() {
         let r = FlightRecorder::new(FlightConfig::default().exemplar_k(2));
-        // Three completions in window 0; one more that belongs to window 1.
-        r.note_request(t(10), 1, 0, 500, SpanId::NONE);
-        r.note_request(t(20), 2, 0, 900, SpanId::NONE);
-        r.note_request(t(30), 3, 0, 900, SpanId::NONE);
-        r.note_request(t(150), 4, 0, 9999, SpanId::NONE);
-        r.close_window(100, 0, &Tracer::disabled());
-        let kept: Vec<u64> = r.exemplars().iter().map(|e| e.seq).collect();
-        assert_eq!(kept, vec![2, 3], "ties break toward the earlier request");
-        // The late completion folds into the next window.
-        r.close_window(200, 1, &Tracer::disabled());
+        // Three completions in window 0, offered in both orders: the
+        // selection does not depend on it.
+        let w0 = [
+            done(10, 1, 500, SpanId::NONE),
+            done(30, 3, 900, SpanId::NONE),
+            done(20, 2, 900, SpanId::NONE),
+        ];
+        for order in [w0, [w0[2], w0[1], w0[0]]] {
+            let r = FlightRecorder::new(FlightConfig::default().exemplar_k(2));
+            r.close_window(0, order, &Tracer::disabled());
+            let kept: Vec<u64> = r.exemplars().iter().map(|e| e.seq).collect();
+            assert_eq!(kept, vec![2, 3], "ties break toward the earlier request");
+        }
+        r.close_window(0, w0, &Tracer::disabled());
+        r.close_window(1, [done(150, 4, 9999, SpanId::NONE)], &Tracer::disabled());
         assert_eq!(r.exemplars().len(), 3);
         assert_eq!(r.exemplars()[2].seq, 4);
         assert_eq!(r.exemplars()[2].window, 1);
     }
 
     #[test]
+    fn short_windows_keep_every_completion_in_rank_order() {
+        let r = FlightRecorder::new(FlightConfig::default().exemplar_k(8));
+        let w = [
+            done(10, 5, 300, SpanId::NONE),
+            done(20, 6, 700, SpanId::NONE),
+            done(30, 7, 300, SpanId::NONE),
+        ];
+        r.close_window(0, w, &Tracer::disabled());
+        // An empty window closes without touching the earlier keepers.
+        r.close_window(1, [], &Tracer::disabled());
+        let kept: Vec<(u64, u64)> = r
+            .exemplars()
+            .iter()
+            .map(|e| (e.seq, e.latency_ns))
+            .collect();
+        assert_eq!(kept, vec![(6, 700), (5, 300), (7, 300)]);
+        assert!(r
+            .exemplars()
+            .iter()
+            .all(|e| e.window == 0 && e.spans.is_empty()));
+    }
+
+    #[test]
+    fn zero_k_and_zero_horizon_bound_the_exemplars() {
+        let none = FlightRecorder::new(FlightConfig::default().exemplar_k(0));
+        none.close_window(0, [done(10, 1, 100, SpanId::NONE)], &Tracer::disabled());
+        assert!(none.exemplars().is_empty(), "K = 0 keeps nothing");
+        // A zero horizon still keeps the window being closed, and only it.
+        let latest = FlightRecorder::new(FlightConfig::default().exemplar_windows(0));
+        for w in 0..3u64 {
+            latest.close_window(
+                w,
+                [done(w * 100, w, 100, SpanId::NONE)],
+                &Tracer::disabled(),
+            );
+            let windows: Vec<u64> = latest.exemplars().iter().map(|e| e.window).collect();
+            assert_eq!(windows, vec![w]);
+        }
+    }
+
+    #[test]
     fn exemplar_windows_are_evicted_past_the_horizon() {
         let r = FlightRecorder::new(FlightConfig::default().exemplar_windows(2));
         for w in 0..5u64 {
-            r.note_request(t(w * 100 + 10), w, 0, 100, SpanId::NONE);
-            r.close_window((w + 1) * 100, w, &Tracer::disabled());
+            let d = done(w * 100 + 10, w, 100, SpanId::NONE);
+            r.close_window(w, [d], &Tracer::disabled());
         }
         let windows: Vec<u64> = r.exemplars().iter().map(|e| e.window).collect();
         assert_eq!(windows, vec![3, 4], "only the retention horizon survives");
@@ -598,8 +654,7 @@ mod tests {
         // An unrelated root must not leak into the subtree.
         tracer.span(SpanId::NONE, "guest", "request", t(200), t(300));
         let r = FlightRecorder::new(FlightConfig::default());
-        r.note_request(t(100), 7, 0, 100, root);
-        r.close_window(1_000, 0, &tracer);
+        r.close_window(0, [done(100, 7, 100, root)], &tracer);
         let x = &r.exemplars()[0];
         assert_eq!(x.root, root.0);
         assert_eq!(x.spans.len(), 2);
@@ -615,8 +670,7 @@ mod tests {
             let r = FlightRecorder::new(FlightConfig::default().capacity(8));
             r.append(t(5), FlightEventKind::RequestStart, 1, 42, 0);
             r.append(t(9), FlightEventKind::Doorbell, 1, 42, 5);
-            r.note_request(t(50), 42, 0, 45, SpanId::NONE);
-            r.close_window(100, 0, &Tracer::disabled());
+            r.close_window(0, [done(50, 42, 45, SpanId::NONE)], &Tracer::disabled());
             serde_json::to_string(&r.snapshot_json()).unwrap()
         };
         let a = run();

@@ -18,9 +18,8 @@
 //! * [`stats`] — histograms, percentile summaries and throughput meters used
 //!   by the benchmark harnesses to regenerate the paper's figures.
 //! * [`trace`] — the hierarchical span tracer every simulated layer reports
-//!   into (plus the Chrome/Perfetto trace-event exporter), and [`metrics`] —
-//!   the named counter/histogram registry the observability exporters
-//!   serialize. Both are zero-cost no-ops until explicitly enabled.
+//!   into (plus the Chrome/Perfetto trace-event exporter); a zero-cost
+//!   no-op until explicitly enabled.
 //! * [`perfmon`] — deterministic windowed time-series sampling driven by
 //!   simulated time (gauge/counter-delta series in ring buffers), the SLO
 //!   watchdog with declarative threshold rules, and the JSON/CSV/Perfetto
@@ -37,7 +36,7 @@
 //!   function multiplexer, including the bitmap/heap [`ReadyTable`] that
 //!   keeps 1000-function dispatch O(changed state) per event.
 //! * [`selfcheck`] — the runtime divergence self-check: digest a run's
-//!   event sequence, span tree and metrics, run it twice from one seed,
+//!   event sequence, span tree and telemetry, run it twice from one seed,
 //!   and report the first diverging event if reproducibility ever breaks.
 //!
 //! Everything is single-threaded and deterministic given a seed: running the
@@ -63,7 +62,6 @@
 pub mod flight;
 pub mod gen;
 pub mod hash;
-pub mod metrics;
 pub mod perfmon;
 pub mod queue;
 pub mod resource;
@@ -75,11 +73,11 @@ pub mod time;
 pub mod trace;
 
 pub use flight::{
-    Exemplar, FlightConfig, FlightEvent, FlightEventKind, FlightHandle, FlightRecorder,
+    CompletedRequest, Exemplar, FlightConfig, FlightEvent, FlightEventKind, FlightHandle,
+    FlightRecorder,
 };
 pub use gen::{BurstyArrivals, ZipfLike};
 pub use hash::{IntHashBuilder, IntHasher};
-pub use metrics::Metrics;
 pub use perfmon::{AnomalyEvent, Sampler, SeriesId, SeriesKind, SloRule, SloWatchdog, TimeSeries};
 pub use queue::EventQueue;
 pub use resource::{Pipe, ServiceUnit};

@@ -1,10 +1,11 @@
 //! Deterministic time-series performance monitoring.
 //!
-//! The paper's evaluation — and PR 2's spans + metrics — report *aggregate*
-//! end-of-run numbers. This module adds the time dimension: a [`Sampler`]
-//! closes fixed-width windows of simulated time and records one sample per
-//! registered series per window, so a harness can say *when* the BTLB went
-//! cold or *which* window a VF starved in, not just what the run mean was.
+//! The paper's evaluation reports *aggregate* end-of-run numbers, and
+//! spans explain single requests. This module adds the time dimension: a
+//! [`Sampler`] closes fixed-width windows of simulated time and records one
+//! sample per registered series per window, so a harness can say *when*
+//! the BTLB went cold or *which* window a VF starved in, not just what the
+//! run mean was.
 //!
 //! Determinism is structural, not aspirational:
 //!

@@ -15,7 +15,7 @@
 //!   digests can be compared checkpoint-first and the mismatch localized
 //!   to a window before walking records;
 //! * named section hashes for whole-run aggregates (span tree shape,
-//!   metrics registry).
+//!   telemetry series).
 //!
 //! [`first_divergence`] diffs two digests; [`self_check`] packages the
 //! run-twice-and-compare loop. Everything here is pure data plumbing —
@@ -43,7 +43,6 @@
 
 use std::fmt;
 
-use crate::metrics::Metrics;
 use crate::time::SimTime;
 use crate::trace::Span;
 
@@ -177,13 +176,6 @@ impl RunDigest {
         self.section("span_tree", h);
     }
 
-    /// Hashes the full metrics registry (counters and histograms, in the
-    /// registry's deterministic BTreeMap order) into a `metrics` section.
-    pub fn metrics_section(&mut self, metrics: &Metrics) {
-        let json = serde_json::to_string(&metrics.to_json()).expect("metrics serialize to JSON");
-        self.section("metrics", fnv1a(json.as_bytes()));
-    }
-
     /// Number of event records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -243,7 +235,7 @@ pub enum Divergence {
     },
     /// Event streams agree, but a whole-run section hash differs.
     Section {
-        /// Section name (`"span_tree"`, `"metrics"`, ...).
+        /// Section name (`"span_tree"`, `"telemetry"`, ...).
         name: String,
         /// Run A's hash.
         a: u64,
@@ -393,7 +385,7 @@ mod tests {
             for i in 0..10 {
                 d.record(t(i * 5), format!("ev{i}"), i * 7);
             }
-            d.section("metrics", 42);
+            d.section("telemetry", 42);
             d
         };
         assert_eq!(first_divergence(&mk(), &mk()), None);
@@ -443,12 +435,12 @@ mod tests {
         let mk = |m: u64| {
             let mut d = RunDigest::new(4);
             d.record(t(1), "ev", 1);
-            d.section("metrics", m);
+            d.section("telemetry", m);
             d
         };
         match first_divergence(&mk(1), &mk(2)) {
             Some(Divergence::Section { name, a, b }) => {
-                assert_eq!(name, "metrics");
+                assert_eq!(name, "telemetry");
                 assert_ne!(a, b);
             }
             other => panic!("unexpected: {other:?}"),

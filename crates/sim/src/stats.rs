@@ -435,6 +435,57 @@ mod tests {
     }
 
     #[test]
+    fn histogram_merge_matches_one_recorder() {
+        // A sample stream split across two histograms and merged is
+        // bucket-for-bucket the histogram of the whole stream: counts,
+        // extremes, mean and every percentile.
+        let samples: Vec<u64> = (0..200u64).map(|i| (i * i * 7 + 13) % 100_000).collect();
+        let (left, right) = samples.split_at(73);
+        let mut a = Histogram::new();
+        left.iter().for_each(|&v| a.record(v));
+        let mut b = Histogram::new();
+        right.iter().for_each(|&v| b.record(v));
+        a.merge(&b);
+        let mut whole = Histogram::new();
+        samples.iter().for_each(|&v| whole.record(v));
+        assert_eq!(a.count(), whole.count());
+        assert_eq!(a.min(), whole.min());
+        assert_eq!(a.max(), whole.max());
+        assert_eq!(a.mean(), whole.mean());
+        for p in [1.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
+            assert_eq!(a.percentile(p), whole.percentile(p), "p{p} differs");
+        }
+    }
+
+    #[test]
+    fn histogram_merge_is_stable_under_empty_and_self_merges() {
+        let mut a = Histogram::new();
+        for v in [100u64, 200, 400, 800, 1600, 3200] {
+            a.record(v);
+        }
+        let (p50, p99) = (a.percentile(50.0), a.percentile(99.0));
+        // Merging an empty histogram changes nothing, extremes included.
+        a.merge(&Histogram::new());
+        assert_eq!((a.count(), a.min(), a.max()), (6, 100, 3200));
+        assert_eq!((a.percentile(50.0), a.percentile(99.0)), (p50, p99));
+        // Merging an identical population doubles the count but leaves
+        // every quantile where it was.
+        let copy = a.clone();
+        a.merge(&copy);
+        assert_eq!(a.count(), 12);
+        assert_eq!(a.percentile(50.0), p50, "p50 moved under self-merge");
+        assert_eq!(a.percentile(99.0), p99, "p99 moved under self-merge");
+        // The source is read, not shared: recording into it afterwards
+        // leaves the merged histogram alone.
+        let mut src = Histogram::new();
+        src.record(7);
+        a.merge(&src);
+        src.record(9);
+        assert_eq!((a.count(), src.count()), (13, 2));
+        assert_eq!(a.min(), 7);
+    }
+
+    #[test]
     fn histogram_display_nonempty() {
         let mut h = Histogram::new();
         h.record(5);

@@ -11,8 +11,8 @@
 //! one path: multiple VFs (so the round-robin scheduler and per-function
 //! state interleave), both operations (so the write payload path and the
 //! read extraction path both run), tracing enabled (so the span tree is
-//! part of the compared surface), and the metrics registry folded in at
-//! the end.
+//! part of the compared surface), and telemetry with the flight recorder
+//! folded in at the end.
 
 use nesc_hypervisor::{DiskId, DiskKind, System, SystemBuilder, TelemetryConfig};
 use nesc_sim::selfcheck::{fnv1a, RunDigest};
@@ -53,8 +53,8 @@ impl MixedVfSelfCheck {
     /// Builds the system and runs the seeded request mix, returning the
     /// run's digest. Everything observable goes into the digest: one
     /// record per request completion (VF, op, offset, latency, payload
-    /// hash for reads), every span, the span-tree shape, the metrics
-    /// registry, and the perfmon time series.
+    /// hash for reads), every span, the span-tree shape, the perfmon time
+    /// series, the flight recorder and the forensic dump.
     pub fn digest(&self, seed: u64) -> RunDigest {
         let mut sys = SystemBuilder::new()
             .capacity_blocks((self.disk_bytes / 512) * (self.vfs as u64 + 1))
@@ -101,9 +101,9 @@ impl MixedVfSelfCheck {
             digest.record(sys.now(), format!("vf{vf}:{op}"), p);
         }
 
-        // Close the final telemetry window (and fold the flight recorder's
-        // pending exemplars, which capture span subtrees) BEFORE draining
-        // the tracer: `take_spans` is destructive.
+        // Close the final telemetry window (and with it the flight
+        // recorder's exemplar window, which captures span subtrees) BEFORE
+        // draining the tracer: `take_spans` is destructive.
         sys.telemetry_finish();
         digest.section("flight", sys.flight().digest_hash());
         let tel = sys.telemetry().expect("telemetry enabled");
@@ -116,7 +116,6 @@ impl MixedVfSelfCheck {
         let spans = system_spans(&mut sys);
         digest.record_spans(&spans);
         digest.span_tree_section(&spans);
-        digest.metrics_section(sys.metrics());
         digest
     }
 }

@@ -99,38 +99,44 @@ if ! cargo run --release -q -p nesc-bench --bin divergence_check; then
     exit 1
 fi
 
-echo "==> golden check: nesc-report telemetry must be bit-identical"
+echo "==> golden checks: regenerated results must be bit-identical"
+# Each row names a committed golden under results/ and the nesc-bench
+# binary that regenerates it; the binary's stdout is kept under $tmp for
+# the gates below.
+#   nesc_report     — telemetry_mixed.json (the watchdog anomaly fires)
+#   forensics       — replays the watchdog-tripping prune-pressure scenario
+#                     twice in-process (asserting the two dumps
+#                     byte-identical), verifies the worst request's
+#                     event-derived latency breakdown against its span
+#                     tree phase by phase, and regenerates the dump golden
+#                     plus the merged Perfetto trace
+#   fig10_bandwidth — the paper's bandwidth figure
+#   golden_trace    — the span trace
+#   scale_out       — the 1000-VF mixed scenario (gated further below)
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-tel_golden="results/telemetry_mixed.json"
-[ -f "$tel_golden" ] || { echo "missing golden $tel_golden" >&2; exit 1; }
-cp "$tel_golden" "$tmp/telemetry_mixed.json"
-cargo run --release -q -p nesc-bench --bin nesc_report >/dev/null
-if cmp -s "$tmp/telemetry_mixed.json" "$tel_golden"; then
-    echo "OK: telemetry_mixed.json regenerated bit-identical (watchdog anomaly fired)"
-else
-    echo "FAIL: telemetry_mixed.json changed after regeneration" >&2
-    diff "$tmp/telemetry_mixed.json" "$tel_golden" >&2 || true
-    exit 1
-fi
-
-echo "==> golden check: the forensic dump must be bit-identical"
-# The forensics harness replays the watchdog-tripping prune-pressure
-# scenario twice in-process (asserting the two dumps byte-identical),
-# verifies the worst request's event-derived latency breakdown against
-# its span tree phase by phase, and regenerates the dump golden plus the
-# merged Perfetto trace.
-forensic_golden="results/forensic_dump.json"
-[ -f "$forensic_golden" ] || { echo "missing golden $forensic_golden" >&2; exit 1; }
-cp "$forensic_golden" "$tmp/forensic_dump.json"
-cargo run --release -q -p nesc-bench --bin forensics >/dev/null
-if cmp -s "$tmp/forensic_dump.json" "$forensic_golden"; then
-    echo "OK: forensic_dump.json regenerated bit-identical (anomaly dump is deterministic)"
-else
-    echo "FAIL: forensic_dump.json changed after regeneration" >&2
-    diff "$tmp/forensic_dump.json" "$forensic_golden" >&2 || true
-    exit 1
-fi
+declare -A host_secs
+for row in \
+    "telemetry_mixed nesc_report" \
+    "forensic_dump forensics" \
+    "fig10_bandwidth fig10_bandwidth" \
+    "golden_trace golden_trace" \
+    "scale_mixed scale_out"; do
+    read -r golden bin <<< "$row"
+    file="results/$golden.json"
+    [ -f "$file" ] || { echo "missing golden $file" >&2; exit 1; }
+    cp "$file" "$tmp/$golden.json"
+    start=$SECONDS
+    cargo run --release -q -p nesc-bench --bin "$bin" > "$tmp/$bin.txt"
+    host_secs[$bin]=$((SECONDS - start))
+    if cmp -s "$tmp/$golden.json" "$file"; then
+        echo "OK: $golden.json regenerated bit-identical (${host_secs[$bin]}s host)"
+    else
+        echo "FAIL: $golden.json changed after regeneration" >&2
+        diff "$tmp/$golden.json" "$file" >&2 || true
+        exit 1
+    fi
+done
 
 echo "==> nesc-inspect: worst-request breakdown must match its span tree"
 # `why` exits non-zero if the latency breakdown reconstructed from ring
@@ -141,38 +147,12 @@ if ! cargo run --release -q -p nesc-bench --bin nesc-inspect -- why >/dev/null; 
 fi
 echo "OK: event-derived breakdown matches the span-derived one"
 
-echo "==> golden check: fig10_bandwidth must be bit-identical"
-golden="results/fig10_bandwidth.json"
-[ -f "$golden" ] || { echo "missing golden $golden" >&2; exit 1; }
-cp "$golden" "$tmp/golden.json"
-cargo run --release -q -p nesc-bench --bin fig10_bandwidth >/dev/null
-if cmp -s "$tmp/golden.json" "$golden"; then
-    echo "OK: fig10_bandwidth.json regenerated bit-identical"
-else
-    echo "FAIL: fig10_bandwidth.json changed after regeneration" >&2
-    diff "$tmp/golden.json" "$golden" >&2 || true
-    exit 1
-fi
-
-echo "==> golden check: the span trace must be bit-identical"
-trace_golden="results/golden_trace.json"
-[ -f "$trace_golden" ] || { echo "missing golden $trace_golden" >&2; exit 1; }
-cp "$trace_golden" "$tmp/golden_trace.json"
-cargo run --release -q -p nesc-bench --bin golden_trace >/dev/null
-if cmp -s "$tmp/golden_trace.json" "$trace_golden"; then
-    echo "OK: golden_trace.json regenerated bit-identical"
-else
-    echo "FAIL: golden_trace.json changed after regeneration" >&2
-    diff "$tmp/golden_trace.json" "$trace_golden" >&2 || true
-    exit 1
-fi
-
-echo "==> scale-out gate: 1000-VF mixed scenario must replay bit-identical, fast"
-# The full datacenter mix (850 steady + 100 bursty + 50 noisy VFs) must
-# (a) regenerate its fairness golden byte-for-byte, (b) finish in
-# seconds of host time — the acceptance bar for the scenario engine —
-# and (c) keep telemetry work proportional to activity, a deterministic
-# count that host noise cannot move.
+echo "==> scale-out gate: the 1000-VF mixed scenario must be fast"
+# The full datacenter mix (850 steady + 100 bursty + 50 noisy VFs) must,
+# besides regenerating its fairness golden byte-for-byte above, (a)
+# finish in seconds of host time — the acceptance bar for the scenario
+# engine — and (b) keep telemetry work proportional to activity, a
+# deterministic count that host noise cannot move.
 #   NESC_GATE_SCALE_SECS — host wall-clock ceiling (env-overridable for
 #                          slower CI hosts; the run takes ~0.3 s on a
 #                          2-core host)
@@ -180,20 +160,8 @@ echo "==> scale-out gate: 1000-VF mixed scenario must replay bit-identical, fast
 # deterministic (measured 85.1: 10 fixed series + 5 per dirty VF;
 # sampling all 5010 series at every close would be 5010), so no host
 # needs it relaxed.
-scale_golden="results/scale_mixed.json"
-[ -f "$scale_golden" ] || { echo "missing golden $scale_golden" >&2; exit 1; }
-cp "$scale_golden" "$tmp/scale_mixed.json"
-scale_start=$SECONDS
-cargo run --release -q -p nesc-bench --bin scale_out > "$tmp/scale_out.txt"
-scale_secs=$((SECONDS - scale_start))
+scale_secs=${host_secs[scale_out]}
 scale_ceiling="${NESC_GATE_SCALE_SECS:-10}"
-if cmp -s "$tmp/scale_mixed.json" "$scale_golden"; then
-    echo "OK: scale_mixed.json regenerated bit-identical (${scale_secs}s host)"
-else
-    echo "FAIL: scale_mixed.json changed after regeneration" >&2
-    diff "$tmp/scale_mixed.json" "$scale_golden" >&2 || true
-    exit 1
-fi
 if [ "$scale_secs" -gt "$scale_ceiling" ]; then
     echo "FAIL: 1000-VF scenario took ${scale_secs}s > ceiling ${scale_ceiling}s" >&2
     exit 1

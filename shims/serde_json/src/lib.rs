@@ -1,13 +1,16 @@
 //! Minimal, dependency-free stand-in for the `serde_json` crate.
 //!
 //! The workspace builds in network-restricted environments where crates-io
-//! is unreachable. The repo only uses `serde_json` to build result objects
-//! with the `json!` macro and serialize them with `to_string_pretty`, so
-//! this shim implements exactly that: a [`Value`] tree (object keys kept in
-//! insertion order so emitted files are deterministic), `From` conversions
-//! for the primitive types the benches use, a recursive `json!` macro, and
-//! a pretty printer with 2-space indentation and standard JSON string
-//! escaping. There is no deserialization and no serde `Serialize` bridge.
+//! is unreachable. The repo uses `serde_json` to build result objects with
+//! the `json!` macro, serialize them with `to_string_pretty`, and read a
+//! dump back with `from_str`, so this shim implements exactly that: a
+//! [`Value`] tree (object keys kept in insertion order so emitted files are
+//! deterministic), `From` conversions for the primitive types the benches
+//! use, a recursive `json!` macro, a pretty printer with 2-space
+//! indentation and standard JSON string escaping, and [`from_str`], a
+//! recursive-descent parser into [`Value`] with the real crate's nesting
+//! limit of 128. There is no serde `Serialize`/`Deserialize` bridge:
+//! `from_str` yields a [`Value`] only.
 
 use std::fmt;
 
@@ -29,7 +32,7 @@ pub enum Value {
 }
 
 /// A JSON number: integers render without a decimal point.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum Number {
     /// Signed integer.
     Int(i64),
@@ -37,6 +40,22 @@ pub enum Number {
     UInt(u64),
     /// Floating point.
     Float(f64),
+}
+
+/// Integers compare by value, whichever variant holds them (as in the real
+/// crate, where a non-negative `i64` and a `u64` are the same number).
+impl PartialEq for Number {
+    fn eq(&self, other: &Number) -> bool {
+        match (*self, *other) {
+            (Number::Int(a), Number::Int(b)) => a == b,
+            (Number::UInt(a), Number::UInt(b)) => a == b,
+            (Number::Int(i), Number::UInt(u)) | (Number::UInt(u), Number::Int(i)) => {
+                u64::try_from(i) == Ok(u)
+            }
+            (Number::Float(a), Number::Float(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl fmt::Display for Number {
@@ -160,6 +179,31 @@ impl Value {
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
         match self {
             Value::Object(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as a `u64`, if it is a non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Number(Number::UInt(u)) => Some(*u),
+            Value::Number(Number::Int(i)) => u64::try_from(*i).ok(),
+            _ => None,
+        }
+    }
+
+    /// The elements, if the value is an array.
+    pub fn as_array(&self) -> Option<&Vec<Value>> {
+        match self {
+            Value::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The string, if the value is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::String(s) => Some(s),
             _ => None,
         }
     }
@@ -343,14 +387,17 @@ pub fn to_value<T: ToValue + ?Sized>(value: &T) -> Value {
     value.to_value()
 }
 
-/// Serialization error type (kept for API parity; serialization here is
-/// infallible).
+/// A parse error with its byte position (serialization here is
+/// infallible; the type is shared for API parity).
 #[derive(Debug)]
-pub struct Error;
+pub struct Error {
+    msg: String,
+    pos: usize,
+}
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("serde_json shim serialization error")
+        write!(f, "{} at byte {}", self.msg, self.pos)
     }
 }
 
@@ -368,6 +415,240 @@ pub fn to_string<T: AsValue>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
     value.as_value().write_compact(&mut out);
     Ok(out)
+}
+
+/// Nesting depth [`from_str`] accepts: the real crate's default recursion
+/// limit. Deeper input is an error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document into a [`Value`]: objects (order preserved),
+/// arrays, strings with the standard escapes (surrogate pairs combined),
+/// integers (`u64`, or `i64` when negative), floats, booleans and `null`.
+/// Containers nested more than 128 deep are rejected.
+pub fn from_str(s: &str) -> Result<Value, Error> {
+    let mut p = Parser {
+        text: s,
+        pos: 0,
+        depth: 0,
+    };
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != s.len() {
+        return Err(p.err("trailing data"));
+    }
+    Ok(v)
+}
+
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, msg: impl Into<String>) -> Error {
+        Error {
+            msg: msg.into(),
+            pos: self.pos,
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn bump(&mut self) -> Option<u8> {
+        let b = self.peek()?;
+        self.pos += 1;
+        Some(b)
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), Error> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(format!("expected '{}'", b as char)))
+        }
+    }
+
+    fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
+        if self.text[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Ok(v)
+        } else {
+            Err(self.err("bad literal"))
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, Error> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{' | b'[') => self.container(),
+            Some(b'"') => Ok(Value::String(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(_) => Err(self.err("unexpected character")),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// Parses an object or array one level deeper, refusing to pass
+    /// [`MAX_DEPTH`] (an error ends the whole parse, so the depth is not
+    /// restored on that path).
+    fn container(&mut self) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let v = if self.bump() == Some(b'{') {
+            let mut entries = Vec::new();
+            self.items(b'}', |p| {
+                p.skip_ws();
+                let key = p.string()?;
+                p.skip_ws();
+                p.expect(b':')?;
+                entries.push((key, p.value()?));
+                Ok(())
+            })?;
+            Value::Object(entries)
+        } else {
+            let mut items = Vec::new();
+            self.items(b']', |p| {
+                items.push(p.value()?);
+                Ok(())
+            })?;
+            Value::Array(items)
+        };
+        self.depth -= 1;
+        Ok(v)
+    }
+
+    /// Parses comma-separated container members with `member` up to and
+    /// including the `close` byte; the opening byte is consumed.
+    fn items(
+        &mut self,
+        close: u8,
+        mut member: impl FnMut(&mut Self) -> Result<(), Error>,
+    ) -> Result<(), Error> {
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            member(self)?;
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => {}
+                Some(c) if c == close => return Ok(()),
+                _ => return Err(self.err(format!("expected ',' or '{}'", close as char))),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, Error> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Copy the run up to the next quote, escape or control
+            // character in one go: those are ASCII, so the run ends on a
+            // char boundary.
+            let rest = &self.text[self.pos..];
+            let run = rest
+                .bytes()
+                .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+                .ok_or_else(|| self.err("unterminated string"))?;
+            out.push_str(&rest[..run]);
+            self.pos += run;
+            match self.bump() {
+                Some(b'"') => return Ok(out),
+                Some(b'\\') => {}
+                _ => return Err(self.err("control character in string")),
+            }
+            let c = match self.bump() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{0008}',
+                Some(b'f') => '\u{000C}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => self.unicode_escape()?,
+                _ => return Err(self.err("bad escape")),
+            };
+            out.push(c);
+        }
+    }
+
+    /// Decodes the code point of a `\u` escape whose `\u` is consumed,
+    /// combining a UTF-16 surrogate pair and rejecting a lone surrogate.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let hi = self.hex4()?;
+        let code = match hi {
+            0xD800..=0xDBFF => {
+                if !self.text[self.pos..].starts_with("\\u") {
+                    return Err(self.err("lone leading surrogate"));
+                }
+                self.pos += 2;
+                let lo = self.hex4()?;
+                if !(0xDC00..=0xDFFF).contains(&lo) {
+                    return Err(self.err("leading surrogate without a trailing one"));
+                }
+                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(self.err("lone trailing surrogate")),
+            _ => hi,
+        };
+        char::from_u32(code).ok_or_else(|| self.err("invalid code point"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let mut code = 0;
+        for _ in 0..4 {
+            let d = self
+                .bump()
+                .and_then(|b| (b as char).to_digit(16))
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            code = code * 16 + d;
+        }
+        Ok(code)
+    }
+
+    fn number(&mut self) -> Result<Value, Error> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let mut float = false;
+        while let Some(c) = self.peek() {
+            match c {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => float = true,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        let n = if float {
+            text.parse().ok().map(Number::Float)
+        } else if text.starts_with('-') {
+            text.parse().ok().map(Number::Int)
+        } else {
+            text.parse().ok().map(Number::UInt)
+        };
+        n.map(Value::Number)
+            .ok_or_else(|| self.err(format!("bad number {text}")))
+    }
 }
 
 /// Borrow-as-`Value` bridge so `to_string_pretty(&value)` works on both
@@ -527,6 +808,121 @@ mod tests {
             to_string(&v).unwrap(),
             "{\"block_kb\":64,\"depth\":5,\"bw\":2.5,\"first\":[1]}"
         );
+    }
+
+    #[test]
+    fn from_str_round_trips_the_writer() {
+        let v = json!({
+            "quotes": "say \"hi\"",
+            "backslash": "a\\b\\",
+            "control": "nl\n cr\r tab\t bell\u{7} nul\u{0} us\u{1f}",
+            "non_bmp": "héllo→🚀😀 𝄞",
+            "max": u64::MAX,
+            "neg": [-1i64, i64::MIN, -42],
+            "pos_int": 7i32,
+            "floats": [1.5f64, -0.25, 2.0, 1e-7, 123456.789],
+            "nested": [true, false, null, [], {}],
+        });
+        for text in [to_string(&v).unwrap(), to_string_pretty(&v).unwrap()] {
+            assert_eq!(from_str(&text).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn from_str_combines_surrogate_pairs_and_rejects_lone_ones() {
+        assert_eq!(from_str(r#""\ud83d\ude00""#).unwrap(), json!("😀"));
+        assert_eq!(from_str(r#""\u0041\u00e9""#).unwrap(), json!("Aé"));
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+        ] {
+            assert!(from_str(lone).is_err(), "{lone} must be rejected");
+        }
+    }
+
+    #[test]
+    fn from_str_handles_unicode_strings() {
+        let v = json!({ "s": "héllo→🚀" });
+        let back = from_str(&to_string(&v).unwrap()).unwrap();
+        assert_eq!(back.get("s").and_then(Value::as_str), Some("héllo→🚀"));
+        assert_eq!(
+            from_str(r#""\"\\\/\b\f\n\r\tA""#).unwrap(),
+            json!("\"\\/\u{8}\u{c}\n\r\tA")
+        );
+        assert!(from_str(r#""\x""#).is_err(), "unknown escape");
+        assert!(from_str(r#""\u00g0""#).is_err(), "bad hex digit");
+    }
+
+    #[test]
+    fn from_str_keeps_number_kinds() {
+        let num = |text: &str| match from_str(text) {
+            Ok(Value::Number(n)) => n,
+            other => panic!("{text:?} parsed as {other:?}"),
+        };
+        assert!(matches!(
+            num("18446744073709551615"),
+            Number::UInt(u64::MAX)
+        ));
+        assert!(matches!(num("-9223372036854775808"), Number::Int(i64::MIN)));
+        assert!(matches!(num(" -7 "), Number::Int(-7)));
+        assert!(matches!(num("1e3"), Number::Float(f) if f == 1000.0));
+        assert!(matches!(num("-0.5E-2"), Number::Float(f) if f == -0.005));
+        assert!(matches!(num("2.0"), Number::Float(f) if f == 2.0));
+        // Whole numbers stay integers, so `as_u64` reads them.
+        assert_eq!(from_str("[0, 42]").unwrap(), json!([0u64, 42u64]));
+        assert_eq!(from_str("42").unwrap().as_u64(), Some(42));
+        assert_eq!(from_str("42.0").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn from_str_keeps_object_key_order() {
+        let v = from_str(r#"{ "z": 1, "a": {"y": [], "b": null} }"#).unwrap();
+        let keys = |v: &Value| match v {
+            Value::Object(entries) => entries.iter().map(|(k, _)| k.clone()).collect(),
+            _ => Vec::new(),
+        };
+        assert_eq!(keys(&v), ["z", "a"]);
+        assert_eq!(keys(v.get("a").unwrap()), ["y", "b"]);
+        // Writing it back reproduces the document's order.
+        assert_eq!(to_string(&v).unwrap(), r#"{"z":1,"a":{"y":[],"b":null}}"#);
+    }
+
+    #[test]
+    fn from_str_limits_nesting_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str(&nested(128)).is_ok());
+        assert!(from_str(&nested(129)).is_err());
+        assert!(from_str(&nested(100_000)).is_err(), "errs, does not crash");
+        let objects = "{\"k\":".repeat(129) + "0" + &"}".repeat(129);
+        assert!(from_str(&objects).is_err());
+    }
+
+    #[test]
+    fn from_str_rejects_garbage() {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "12 34",
+            "\"unterminated",
+            "\"raw\nnewline\"",
+            "tru",
+            "-",
+        ] {
+            assert!(from_str(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn accessors_read_typed_values() {
+        let v = json!({ "n": 3u64, "i": -3i64, "a": [1, 2], "s": "x" });
+        assert_eq!(v.get("n").and_then(Value::as_u64), Some(3));
+        assert_eq!(v.get("i").and_then(Value::as_u64), None);
+        assert_eq!(v.get("a").and_then(Value::as_array).map(Vec::len), Some(2));
+        assert_eq!(v.get("s").and_then(Value::as_str), Some("x"));
+        assert_eq!(v.get("s").and_then(Value::as_u64), None);
     }
 
     #[test]

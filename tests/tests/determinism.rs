@@ -82,7 +82,7 @@ fn fileio_latency_histogram_is_deterministic() {
 #[test]
 fn mixed_multivf_same_seed_digests_are_identical() {
     // The full divergence-check surface: a seeded read/write mix across
-    // several VFs, digested down to event sequence + span tree + metrics
+    // several VFs, digested down to event sequence + span tree + telemetry
     // hashes. Two runs from one seed must agree on every checkpoint.
     let wl = MixedVfSelfCheck::default();
     let a = wl.digest(0xD15C_05ED);

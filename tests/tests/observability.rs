@@ -1,7 +1,7 @@
 //! The observability subsystem, end to end: span-tree invariants on every
 //! virtualization path, deterministic trace reproduction, the
 //! partition-equals-latency guarantee the breakdown harness relies on,
-//! the metrics registry, and the Perfetto exporter.
+//! and the Perfetto exporter.
 
 use nesc_hypervisor::prelude::*;
 
@@ -208,35 +208,34 @@ fn disabled_tracing_records_nothing() {
         .quick_disk(DiskKind::NescDirect, "off.img", 4 << 20)
         .disk;
     sys.write(disk, 0, &[9u8; 4096]);
-    assert!(!sys.tracer().is_enabled());
-    assert!(sys.take_spans().is_empty());
-    // Metrics still accumulate — they are cheap and always on.
-    assert_eq!(sys.metrics().counter("requests_nesc_direct"), 1);
-}
-
-#[test]
-fn metrics_count_requests_bytes_and_errors_per_path() {
-    let (mut sys, disk) = traced(DiskKind::NescDirect);
-    run_small_workload(&mut sys, disk);
-    let m = sys.metrics();
-    // Warm-up write + 3 workload requests.
-    assert_eq!(m.counter("requests_nesc_direct"), 4);
-    assert_eq!(
-        m.counter("bytes_nesc_direct"),
-        64 * 1024 + 4096 + 8192 + 4096
-    );
-    assert_eq!(m.counter("errors_nesc_direct"), 0);
-    let lat = m.histogram("latency_ns_nesc_direct").expect("histogram");
-    assert_eq!(lat.count(), 4);
-    assert!(lat.min() > 0 && lat.max() >= lat.min());
-
-    // An out-of-range read lands in the error counter, not the histogram.
+    // An out-of-range read fails with a typed error, and records nothing
+    // either.
     let mut buf = [0u8; 512];
     assert_eq!(
         sys.try_read(disk, 1 << 40, &mut buf),
         Err(NescError::OutOfRange)
     );
-    assert_eq!(sys.metrics().counter("errors_nesc_direct"), 1);
+    assert!(!sys.tracer().is_enabled());
+    assert!(sys.take_spans().is_empty());
+}
+
+#[test]
+fn out_of_range_read_is_traced_and_leaves_the_disk_usable() {
+    let (mut sys, disk) = traced(DiskKind::NescDirect);
+    run_small_workload(&mut sys, disk);
+    let mut buf = [0u8; 512];
+    assert_eq!(
+        sys.try_read(disk, 1 << 40, &mut buf),
+        Err(NescError::OutOfRange)
+    );
+    // The rejected request still closes a well-nested root of its own.
+    let tree = SpanTree::new(sys.take_spans());
+    tree.check_nesting().unwrap();
+    assert_eq!(tree.roots().filter(|s| s.name == "request").count(), 4);
+    // And the disk keeps serving what was written before it.
+    let mut back = vec![0u8; 4096];
+    sys.read(disk, 0, &mut back);
+    assert_eq!(back, vec![0xABu8; 4096]);
 }
 
 #[test]
