@@ -10,7 +10,10 @@
 //! 2. **prune-pressure** — the tree-pruning ablation configuration with an
 //!    SLO watchdog attached; sustained miss-interrupt traffic must trip at
 //!    least one deterministic anomaly, shown in the dashboard and recorded
-//!    in the golden.
+//!    in the golden. The leaves and node slots its misses' tree publishes
+//!    wrote go to stdout, where `scripts/check.sh` gates them: a miss
+//!    republishes the disk's tree in place, and a prune changes no
+//!    extent, so no leaf of the 205 needs rewriting.
 //!
 //! Also exports the merged Perfetto view (`results/telemetry_trace.json`):
 //! the mixed run's span trace with the sampler's counter tracks merged in,
@@ -20,7 +23,7 @@ use std::fs;
 
 use nesc_bench::{emit_json, print_table};
 use nesc_core::NescConfig;
-use nesc_extent::Vlba;
+use nesc_extent::{PublishStats, Vlba};
 use nesc_hypervisor::prelude::*;
 use nesc_sim::{perfmon, SimRng};
 
@@ -72,7 +75,7 @@ fn run_mixed(sys: &mut System, disks: &[DiskId]) {
 /// The pruning-pressure ablation configuration (fragmented image, prune
 /// every 4 ops) with the SLO watchdog listening for the resulting
 /// miss-interrupt storm.
-fn run_prune_pressure() -> System {
+fn run_prune_pressure() -> (System, DiskId, PublishStats) {
     let tel = TelemetryConfig::windowed(SimDuration::from_micros(100))
         .capacity(4096)
         .rule_text("core.miss_interrupts above 0 for 3")
@@ -88,6 +91,7 @@ fn run_prune_pressure() -> System {
         sys.host_fs_mut().allocate_range(other, Vlba(b), 1).unwrap();
     }
     let disk = sys.attach(vm, DiskKind::NescDirect, Some(img));
+    let attached = sys.tree_publish_stats(disk);
     let mut rng = SimRng::seed(99);
     let mut buf = vec![0u8; 4096];
     for i in 0..256u64 {
@@ -100,7 +104,7 @@ fn run_prune_pressure() -> System {
     }
     sys.think(SimDuration::from_micros(200));
     sys.telemetry_finish();
-    sys
+    (sys, disk, attached)
 }
 
 /// Renders `values` as one bar character per window (most recent 64).
@@ -258,7 +262,7 @@ fn main() {
     emit_json("telemetry_trace", &trace);
 
     // --------------------------------------------- prune-pressure run
-    let sys = run_prune_pressure();
+    let (sys, disk, attached) = run_prune_pressure();
     let tel = sys.telemetry().expect("telemetry enabled");
     println!(
         "\nprune-pressure ablation: {} miss interrupts, rewalk storm under watch",
@@ -271,6 +275,16 @@ fn main() {
     println!(
         "  hv.rewalk_p99_ns           {}",
         sparkline(&series_values(tel.sampler(), "hv.rewalk_p99_ns"))
+    );
+    let published = sys.tree_publish_stats(disk);
+    println!(
+        "  tree publish: {} miss publishes wrote {} leaves into {} new node slots \
+         (attach wrote {} leaves into {} slots)",
+        published.publishes - attached.publishes,
+        published.leaves_written - attached.leaves_written,
+        published.slots_allocated - attached.slots_allocated,
+        attached.leaves_written,
+        attached.slots_allocated
     );
     print_anomalies("prune-pressure", tel.anomalies());
     assert!(

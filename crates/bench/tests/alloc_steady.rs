@@ -1,4 +1,5 @@
-//! Zero-allocation assertion for the steady-state device loop.
+//! Zero-allocation assertions for the steady-state device loop and for
+//! `System::run_open_loop` on preallocated NeSC disks.
 //!
 //! The calendar-wheel scheduler, the reusable output partition buffer, and
 //! the struct-of-arrays per-function counters exist so that once every
@@ -14,9 +15,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use nesc_bench::hotpath::{build_device, HotpathConfig, DEVICE_BLOCKS};
-use nesc_core::NescOutput;
+use nesc_core::{CompletionStatus, NescOutput};
+use nesc_hypervisor::{DiskKind, OpenRequest, SystemBuilder};
 use nesc_sim::{SimDuration, SimRng, SimTime};
 use nesc_storage::{BlockOp, BlockRequest, RequestId};
 
@@ -26,6 +29,10 @@ struct CountingAlloc;
 static ARMED: AtomicBool = AtomicBool::new(false);
 static TRACE: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// The counter is process-wide and the test harness runs tests on
+/// parallel threads: each test holds this lock, so one test's set-up
+/// never lands in another's armed window.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -103,6 +110,9 @@ fn drive(
 /// allocations, for both stream shapes and with the BTLB on and off.
 #[test]
 fn steady_state_device_loop_is_allocation_free() {
+    // A poisoned lock only means the other test failed; the counter
+    // state it guards is reset below either way.
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     TRACE.store(std::env::var_os("ALLOC_TRACE").is_some(), Ordering::SeqCst);
     for (sequential, btlb_entries) in [(true, 8usize), (true, 0), (false, 8)] {
         let cfg = HotpathConfig {
@@ -136,4 +146,69 @@ fn steady_state_device_loop_is_allocation_free() {
             "steady-state loop allocated {n} times (sequential={sequential}, btlb={btlb_entries})"
         );
     }
+}
+
+/// After warm-up, `System::run_open_loop` (telemetry off) on preallocated
+/// NeSC disks performs zero heap allocations: the ring doorbell, the
+/// device pump, completion matching and the write payload all reuse
+/// their buffers. The tape mixes reads, aligned writes and sub-block
+/// writes (whose staging reads the edge blocks' current bytes).
+#[test]
+fn steady_state_open_loop_is_allocation_free() {
+    const DISK_BYTES: u64 = 1 << 20;
+    const REQUESTS: u64 = 1_200;
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut sys = SystemBuilder::new().capacity_blocks(16 * 1024).build();
+    let disks = [
+        sys.quick_disk(DiskKind::NescDirect, "a.img", DISK_BYTES)
+            .disk,
+        sys.quick_disk(DiskKind::NescDirect, "b.img", DISK_BYTES)
+            .disk,
+    ];
+    let mut rng = SimRng::seed(0x0be1_100b);
+    // The same request mix twice: once to warm every buffer, ring page and
+    // store block, then again (later in time) under the counter.
+    let shapes: Vec<(usize, BlockOp, u64, u64)> = (0..REQUESTS)
+        .map(|_| {
+            let disk = rng.range(0, 2) as usize;
+            let (op, bytes) = match rng.range(0, 4) {
+                0 => (BlockOp::Write, 4096),
+                1 => (BlockOp::Write, 512),
+                _ => (BlockOp::Read, 8192),
+            };
+            let offset = rng.range(0, (DISK_BYTES - 8192) / 512) * 512;
+            (disk, op, offset, bytes)
+        })
+        .collect();
+    let tape = |start: SimTime| -> Vec<OpenRequest> {
+        shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(disk, op, offset, bytes))| OpenRequest {
+                disk: disks[disk],
+                op,
+                offset,
+                bytes,
+                at: start + SimDuration::from_micros(20 * i as u64),
+            })
+            .collect()
+    };
+    let warm = tape(sys.now());
+    let mut completed = 0u64;
+    let mut failed = 0u64;
+    let mut observe = |_, _, _, status| {
+        completed += 1;
+        failed += u64::from(status != CompletionStatus::Ok);
+    };
+    sys.run_open_loop(&warm, &mut observe);
+    let steady = tape(sys.now());
+
+    TRACE.store(std::env::var_os("ALLOC_TRACE").is_some(), Ordering::SeqCst);
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    sys.run_open_loop(&steady, &mut observe);
+    ARMED.store(false, Ordering::SeqCst);
+    let n = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!((completed, failed), (2 * REQUESTS, 0));
+    assert_eq!(n, 0, "steady-state open loop allocated {n} times");
 }

@@ -41,7 +41,7 @@ use crate::btlb::Btlb;
 use crate::config::NescConfig;
 use crate::function::{FunctionContext, FunctionKind, PendingRequest, StalledRequest};
 use crate::regs::{self, offsets, FunctionRegisters};
-use crate::ring::RingState;
+use crate::ring::{RingDescriptor, RingState};
 use crate::stats::{DeviceStats, FuncStats};
 
 /// Index of a function on the device; `FuncId(0)` is always the PF.
@@ -255,6 +255,9 @@ pub struct NescDevice {
     /// translation-done time, transformed in place into completion times by
     /// the batched media/engine/link passes.
     time_scratch: Vec<SimTime>,
+    /// Reusable doorbell buffer: the descriptors one `RingTail` write
+    /// fetched, before they are submitted.
+    ring_scratch: Vec<RingDescriptor>,
 }
 
 impl fmt::Debug for NescDevice {
@@ -316,6 +319,7 @@ impl NescDevice {
             cur_func: 0,
             chain_scratch: Vec::new(),
             time_scratch: Vec::new(),
+            ring_scratch: Vec::new(),
         }
     }
 
@@ -602,10 +606,11 @@ impl NescDevice {
     /// fields fail validation complete with `DeviceError` instead of
     /// being silently dropped, so drivers never hang waiting on them.
     fn consume_ring(&mut self, func: FuncId, tail: Untrusted<u32>, now: SimTime) {
-        let (descriptors, fetch_done) = {
+        let mut descriptors = std::mem::take(&mut self.ring_scratch);
+        let fetched = 'fetch: {
             let ctx = &mut self.functions[func.0 as usize];
             if !ctx.alive {
-                return;
+                break 'fetch None;
             }
             let mut ring = RingState {
                 base: ctx.regs.ring_base,
@@ -613,33 +618,35 @@ impl NescDevice {
                 head: ctx.ring_head,
             };
             if !ring.is_configured() {
-                return;
+                break 'fetch None;
             }
             let Ok(tail) = validate_ring_tail(tail, ctx.regs.ring_entries) else {
-                return;
+                break 'fetch None;
             };
-            let descriptors = ring.consume(&self.mem.borrow(), tail);
+            ring.consume(&self.mem.borrow(), tail, &mut descriptors);
             ctx.ring_head = ring.head;
             // One descriptor-fetch DMA covers the batch (devices coalesce).
             let bytes = descriptors.len() as u64 * crate::ring::DESCRIPTOR_BYTES;
-            let fetch_done = if bytes > 0 {
+            Some(if bytes > 0 {
                 self.link.dma_read(now, bytes).complete
             } else {
                 now
-            };
-            (descriptors, fetch_done)
+            })
         };
-        for d in descriptors {
-            match d.to_request() {
-                Ok(req) => self.submit(fetch_done, func, req, d.buffer),
-                Err(_) => self.outputs.push(NescOutput::Completion {
-                    at: fetch_done,
-                    func,
-                    id: d.id,
-                    status: CompletionStatus::DeviceError,
-                }),
+        if let Some(fetch_done) = fetched {
+            for d in descriptors.drain(..) {
+                match d.to_request() {
+                    Ok(req) => self.submit(fetch_done, func, req, d.buffer),
+                    Err(_) => self.outputs.push(NescOutput::Completion {
+                        at: fetch_done,
+                        func,
+                        id: d.id,
+                        status: CompletionStatus::DeviceError,
+                    }),
+                }
             }
         }
+        self.ring_scratch = descriptors;
     }
 
     // ------------------------------------------------------------------

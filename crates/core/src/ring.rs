@@ -148,13 +148,14 @@ impl RingState {
     }
 
     /// Consumes descriptors from `head` up to `tail`, decoding each from
-    /// host memory. Malformed descriptors are skipped (a real device sets
-    /// an error bit; the model counts on the driver being sane and simply
-    /// drops them).
-    pub fn consume(&mut self, mem: &HostMemory, tail: u32) -> Vec<RingDescriptor> {
-        let mut out = Vec::new();
+    /// host memory into `out` (cleared first; the caller owns and reuses
+    /// it, so a doorbell allocates nothing once `out` has grown).
+    /// Malformed descriptors are skipped (a real device sets an error bit;
+    /// the model counts on the driver being sane and simply drops them).
+    pub fn consume(&mut self, mem: &HostMemory, tail: u32, out: &mut Vec<RingDescriptor>) {
+        out.clear();
         if !self.is_configured() {
-            return out;
+            return;
         }
         let tail = tail % self.entries;
         while self.head != tail {
@@ -166,7 +167,6 @@ impl RingState {
             }
             self.head = (self.head + 1) % self.entries;
         }
-        out
     }
 }
 
@@ -223,7 +223,8 @@ mod tests {
         for s in 0..3 {
             write_desc(&mut mem, s, s + 1);
         }
-        let got = ring.consume(&mem, 3);
+        let mut got = Vec::new();
+        ring.consume(&mem, 3, &mut got);
         assert_eq!(
             got.iter().map(|d| d.id.0).collect::<Vec<_>>(),
             vec![1, 2, 3]
@@ -231,7 +232,7 @@ mod tests {
         // Wrap: slots 3, 0 → tail=1.
         write_desc(&mut mem, 3, 4);
         write_desc(&mut mem, 0, 5);
-        let got = ring.consume(&mem, 1);
+        ring.consume(&mem, 1, &mut got);
         assert_eq!(got.iter().map(|d| d.id.0).collect::<Vec<_>>(), vec![4, 5]);
         assert_eq!(ring.head, 1);
     }
@@ -241,14 +242,23 @@ mod tests {
         let mem = HostMemory::new();
         let mut ring = RingState::default();
         assert!(!ring.is_configured());
-        assert!(ring.consume(&mem, 3).is_empty());
+        let mut got = vec![RingDescriptor::new(
+            BlockOp::Read,
+            RequestId(9),
+            Vlba(0),
+            1,
+            0,
+        )];
+        ring.consume(&mem, 3, &mut got);
+        assert!(got.is_empty(), "the caller's buffer is cleared");
         // Non-power-of-two entries are also rejected.
         let mut bad = RingState {
             base: 0x1000,
             entries: 3,
             head: 0,
         };
-        assert!(bad.consume(&mem, 1).is_empty());
+        bad.consume(&mem, 1, &mut got);
+        assert!(got.is_empty());
     }
 
     proptest! {

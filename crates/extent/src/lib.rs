@@ -14,6 +14,9 @@
 //! * [`ExtentTree`] — the software (builder) representation the hypervisor
 //!   maintains: insert/lookup/merge of [`ExtentMapping`]s, hole semantics,
 //!   and serialization into the device-visible format.
+//! * [`PublishedTree`] — a VF's device-visible tree kept in place: reused
+//!   node slots in host memory, rewritten from the first changed leaf on
+//!   each republish.
 //! * [`walk()`] — the device's view: given only a root pointer and a
 //!   [`HostMemory`][nesc_pcie::HostMemory], traverse serialized nodes
 //!   exactly as the block-walk unit does, reporting how many levels (=DMA
@@ -30,6 +33,7 @@
 
 pub mod guest;
 pub mod layout;
+pub mod publish;
 pub mod tree;
 pub mod types;
 pub mod walk;
@@ -39,6 +43,7 @@ pub use guest::{
     validate_sector, validate_slba, GuestFault, Untrusted,
 };
 pub use layout::{NodeKind, FANOUT, NODE_SIZE};
+pub use publish::{PublishStats, PublishedTree};
 pub use tree::{ExtentTree, InsertError};
 pub use types::{BlockAddr, ExtentMapping, Plba, Vlba, BLOCK_SIZE};
 pub use walk::{prune_covering, walk, walk_run, WalkOutcome, WalkResult, WalkRun};

@@ -16,7 +16,8 @@
 
 use nesc_pcie::{HostAddr, HostMemory};
 
-use crate::layout::{self, NodeEntry, FANOUT, NODE_SIZE};
+use crate::layout::FANOUT;
+use crate::publish::PublishedTree;
 use crate::types::{ExtentMapping, Vlba};
 
 /// Error inserting an extent.
@@ -108,6 +109,11 @@ impl ExtentTree {
         self.extents.iter()
     }
 
+    /// The extents in logical order.
+    pub(crate) fn as_slice(&self) -> &[ExtentMapping] {
+        &self.extents
+    }
+
     /// Inserts a mapping, merging with logically+physically adjacent
     /// neighbours (the same coalescing ext4 performs).
     ///
@@ -153,6 +159,13 @@ impl ExtentTree {
             .filter(|e| e.contains(v))
     }
 
+    /// Start of the first extent at or after `v`: where a hole beginning
+    /// at `v` ends, found with one search (`None` if no extent follows).
+    pub fn next_mapped(&self, v: Vlba) -> Option<Vlba> {
+        let pos = self.extents.partition_point(|e| e.logical < v);
+        self.extents.get(pos).map(|e| e.logical)
+    }
+
     /// Unmaps `[start, start+len)`, splitting extents as needed (hole
     /// punching / truncation). Blocks already unmapped are ignored.
     pub fn remove_range(&mut self, start: Vlba, len: u64) {
@@ -189,42 +202,13 @@ impl ExtentTree {
 
     /// Serializes the tree into host memory in the device-visible layout,
     /// returning the root node's address for the VF's `ExtentTreeRoot`
-    /// register.
+    /// register: a publish into a fresh [`PublishedTree`], so the nodes
+    /// are laid out leaves first, then each internal level bottom-up.
     ///
     /// An empty tree serializes to an empty leaf, so the device can still
     /// walk it (and correctly report every block as a hole).
     pub fn serialize(&self, mem: &mut HostMemory) -> HostAddr {
-        // Leaf level.
-        let mut level: Vec<(HostAddr, Vlba, Vlba)> = Vec::new(); // (addr, first, end)
-        if self.extents.is_empty() {
-            let addr = mem.alloc(NODE_SIZE as u64, 64);
-            mem.write(addr, &layout::encode_leaf(&[]));
-            return addr;
-        }
-        for chunk in self.extents.chunks(FANOUT) {
-            let addr = mem.alloc(NODE_SIZE as u64, 64);
-            mem.write(addr, &layout::encode_leaf(chunk));
-            level.push((addr, chunk[0].logical, chunk[chunk.len() - 1].end_logical()));
-        }
-        // Internal levels until a single root remains.
-        while level.len() > 1 {
-            let mut next: Vec<(HostAddr, Vlba, Vlba)> = Vec::new();
-            for chunk in level.chunks(FANOUT) {
-                let entries: Vec<NodeEntry> = chunk
-                    .iter()
-                    .map(|&(addr, first, end)| NodeEntry {
-                        first_logical: first,
-                        blocks: end.distance_from(first),
-                        child: addr,
-                    })
-                    .collect();
-                let addr = mem.alloc(NODE_SIZE as u64, 64);
-                mem.write(addr, &layout::encode_internal(&entries));
-                next.push((addr, chunk[0].1, chunk[chunk.len() - 1].2));
-            }
-            level = next;
-        }
-        level[0].0
+        PublishedTree::new().publish(self, mem)
     }
 
     /// The depth (node reads per cold walk) this tree serializes to.

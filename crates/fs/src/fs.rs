@@ -376,13 +376,13 @@ impl Filesystem {
                 v = e.end_logical().min(end);
                 continue;
             }
-            // Length of the unmapped stretch (up to end or next mapping).
-            let mut run_len = 0u64;
-            let mut probe = v;
-            while probe < end && self.inode(ino)?.extents().lookup(probe).is_none() {
-                run_len += 1;
-                probe = probe.offset(1);
-            }
+            // The unmapped stretch runs to the next mapping or to `end`.
+            let probe = self
+                .inode(ino)?
+                .extents()
+                .next_mapped(v)
+                .map_or(end, |next| next.min(end));
+            let run_len = probe.distance_from(v);
             // Goal: extend the file contiguously after its previous block.
             let goal = if v.0 > 0 {
                 self.inode(ino)?

@@ -14,8 +14,10 @@
 //!   Fig. 2/10 bandwidth measurements;
 //! * the hypervisor's NeSC **miss handler**: on a `WriteMiss` or
 //!   `MappingPruned` interrupt it allocates backing blocks in the host
-//!   filesystem, rebuilds and re-serializes the VF's extent tree, updates
-//!   `ExtentTreeRoot`, and signals `RewalkTree` (paper Fig. 5b).
+//!   filesystem, republishes the VF's device-visible extent tree in place
+//!   (rewriting only the leaves from the first changed extent, plus the
+//!   internal nodes), updates `ExtentTreeRoot`, and signals `RewalkTree`
+//!   (paper Fig. 5b).
 //!
 //! All calls advance one global simulated clock; per-VM vCPUs and per-disk
 //! host backend threads are FIFO service units, so concurrency and
@@ -27,7 +29,7 @@ use std::rc::Rc;
 
 use nesc_core::ring::{RingDescriptor, DESCRIPTOR_BYTES};
 use nesc_core::{CompletionStatus, FuncId, IrqReason, NescConfig, NescDevice, NescOutput};
-use nesc_extent::{Plba, Untrusted, Vlba};
+use nesc_extent::{Plba, PublishStats, PublishedTree, Untrusted, Vlba};
 use nesc_fs::{Filesystem, FsError, Ino};
 use nesc_pcie::{HostAddr, HostMemory};
 use nesc_sim::{
@@ -153,6 +155,10 @@ struct Disk {
     ring_base: HostAddr,
     /// Driver-side producer index.
     ring_tail: u32,
+    /// The device-visible extent tree of the image (NescDirect only):
+    /// node slots in host memory, republished in place after each
+    /// mapping change.
+    tree: PublishedTree,
 }
 
 /// Largest single request the scratch buffers support (the Fig. 10
@@ -176,7 +182,13 @@ pub struct System {
     host_cpu: ServiceUnit,
     now: SimTime,
     next_req: u64,
-    completed: BTreeMap<RequestId, (SimTime, CompletionStatus)>,
+    /// Completions the device reported that no `wait_for` has claimed
+    /// yet; a handful at most, so a reused vector beats a map.
+    completed: Vec<(RequestId, SimTime, CompletionStatus)>,
+    /// Reused output buffer for draining the device in `pump`.
+    outs: Vec<NescOutput>,
+    /// Reused write payload of `run_open_loop` (a 0x9A pattern).
+    payload: Vec<u8>,
     /// Span tracer shared with the device (no-op until enabled).
     tracer: Tracer,
     /// Deterministic time-series sampling + SLO watchdog (None = off; the
@@ -216,7 +228,9 @@ impl System {
             host_cpu: ServiceUnit::new(),
             now: SimTime::ZERO,
             next_req: 1,
-            completed: BTreeMap::new(),
+            completed: Vec::new(),
+            outs: Vec::new(),
+            payload: Vec::new(),
             tracer: Tracer::disabled(),
             telemetry: None,
             flight: FlightHandle::disabled(),
@@ -417,35 +431,12 @@ impl System {
                 mem.alloc(8, 8),
             )
         };
-        let (vf, ring_base) = if kind == DiskKind::NescDirect {
-            let ino = ino.ok_or(NescError::Device)?;
-            let tree = self.fs.extent_tree(ino)?.clone();
-            let root = tree.serialize(&mut self.mem.borrow_mut());
-            let vf = self.dev.create_vf(root, size_blocks)?;
-            // The guest driver allocates its command ring and programs the
-            // VF's ring registers (paper §V's DMA ring buffer).
-            let ring_base = self
-                .mem
-                .borrow_mut()
-                .alloc(RING_ENTRIES as u64 * DESCRIPTOR_BYTES, 4096);
-            self.dev
-                .mmio_write(vf, nesc_core::regs::offsets::RING_BASE, ring_base, self.now);
-            self.dev.mmio_write(
-                vf,
-                nesc_core::regs::offsets::RING_ENTRIES,
-                RING_ENTRIES as u64,
-                self.now,
-            );
-            (Some(vf), ring_base)
-        } else {
-            (None, 0)
-        };
         let vq = (kind == DiskKind::Virtio).then(|| Virtqueue::new(128));
         self.disks.push(Disk {
             kind,
             vm,
             ino,
-            vf,
+            vf: None,
             size_blocks,
             backend: ServiceUnit::new(),
             vq,
@@ -454,10 +445,18 @@ impl System {
             hdr,
             status,
             detached: false,
-            ring_base,
+            ring_base: 0,
             ring_tail: 0,
+            tree: PublishedTree::new(),
         });
         let id = DiskId(self.disks.len() - 1);
+        if kind == DiskKind::NescDirect {
+            if let Err(e) = self.attach_vf(id, size_blocks) {
+                self.disks.pop();
+                return Err(e);
+            }
+        }
+        let vf = self.disks[id.0].vf;
         if let Some(vf) = vf {
             self.func_to_disk.insert(vf, id);
         }
@@ -465,6 +464,57 @@ impl System {
             tel.register_disk(id, vf);
         }
         Ok(id)
+    }
+
+    /// Gives a just-pushed NescDirect disk its VF: publishes the image's
+    /// tree, creates the VF on it, and lets the guest driver program the
+    /// command ring (paper §V's DMA ring buffer).
+    fn attach_vf(&mut self, disk: DiskId, size_blocks: u64) -> Result<(), NescError> {
+        let root = self.publish_tree(disk)?;
+        let vf = self.dev.create_vf(root, size_blocks)?;
+        let ring_base = self
+            .mem
+            .borrow_mut()
+            .alloc(RING_ENTRIES as u64 * DESCRIPTOR_BYTES, 4096);
+        self.dev
+            .mmio_write(vf, nesc_core::regs::offsets::RING_BASE, ring_base, self.now);
+        self.dev.mmio_write(
+            vf,
+            nesc_core::regs::offsets::RING_ENTRIES,
+            RING_ENTRIES as u64,
+            self.now,
+        );
+        let d = &mut self.disks[disk.0];
+        d.vf = Some(vf);
+        d.ring_base = ring_base;
+        Ok(())
+    }
+
+    /// Publishes a disk's image mapping into its device-visible tree, in
+    /// place, and points the disk's VF (if it has one yet) at the root:
+    /// the one path from the host filesystem's extent map to the nodes the
+    /// device walks. Returns the root.
+    ///
+    /// # Errors
+    ///
+    /// [`NescError::Device`] if the disk is not file-backed or its image
+    /// is gone.
+    fn publish_tree(&mut self, disk: DiskId) -> Result<HostAddr, NescError> {
+        let d = &mut self.disks[disk.0];
+        let ino = d.ino.ok_or(NescError::Device)?;
+        let root = d
+            .tree
+            .publish(self.fs.extent_tree(ino)?, &mut self.mem.borrow_mut());
+        if let Some(vf) = d.vf {
+            self.dev.set_tree_root(vf, root)?;
+        }
+        Ok(root)
+    }
+
+    /// Work counters of a disk's device-visible extent tree: publishes,
+    /// leaves written and node slots allocated.
+    pub fn tree_publish_stats(&self, disk: DiskId) -> PublishStats {
+        self.disks[disk.0].tree.stats()
     }
 
     /// Convenience: VM + image + disk in one call.
@@ -519,15 +569,17 @@ impl System {
     // ------------------------------------------------------------------
 
     fn pump(&mut self) {
+        let mut outs = std::mem::take(&mut self.outs);
         loop {
-            let outs = self.dev.advance(HORIZON);
+            outs.clear();
+            self.dev.advance_into(HORIZON, &mut outs);
             if outs.is_empty() {
                 break;
             }
-            for o in outs {
+            for o in outs.drain(..) {
                 match o {
                     NescOutput::Completion { at, id, status, .. } => {
-                        self.completed.insert(id, (at, status));
+                        self.completed.push((id, at, status));
                     }
                     NescOutput::HostInterrupt { at, func, reason } => {
                         self.handle_miss(func, reason, at);
@@ -535,10 +587,12 @@ impl System {
                 }
             }
         }
+        self.outs = outs;
     }
 
     /// The hypervisor's interrupt handler for NeSC translation misses
-    /// (paper Fig. 5b): allocate, rebuild, `RewalkTree`.
+    /// (paper Fig. 5b): allocate, republish the tree in place,
+    /// `RewalkTree`.
     fn handle_miss(&mut self, func: FuncId, reason: IrqReason, at: SimTime) {
         // Both lookups hold by construction (only attached, file-backed
         // VFs can interrupt); an inconsistency drops the interrupt, which
@@ -581,20 +635,12 @@ impl System {
             }
             IrqReason::MappingPruned { .. } => {
                 // The mapping exists in the filesystem; only the
-                // device-visible tree was pruned. Rebuilding below is
-                // enough.
+                // device-visible tree was pruned. Republishing rewrites
+                // every internal node, which restores the NULL pointers.
             }
         }
-        let tree = match self.fs.extent_tree(ino) {
-            Ok(t) => t.clone(),
-            Err(_) => {
-                debug_assert!(false, "image exists");
-                return;
-            }
-        };
-        let root = tree.serialize(&mut self.mem.borrow_mut());
-        if self.dev.set_tree_root(func, root).is_err() {
-            debug_assert!(false, "VF is live during miss handling");
+        if self.publish_tree(disk_id).is_err() {
+            debug_assert!(false, "the image exists and the VF is live");
             return;
         }
         self.dev
@@ -603,8 +649,11 @@ impl System {
 
     fn wait_for(&mut self, id: RequestId) -> (SimTime, CompletionStatus) {
         self.pump();
-        match self.completed.remove(&id) {
-            Some(c) => c,
+        match self.completed.iter().position(|c| c.0 == id) {
+            Some(i) => {
+                let (_, at, status) = self.completed.swap_remove(i);
+                (at, status)
+            }
             None => {
                 // A request the device never completed (a model bug, not a
                 // modeled outcome) reports a device error at the current
@@ -738,8 +787,7 @@ impl System {
         let t = self.vms[vm.0].vcpu.serve(issue, submit_cost).end;
         // Functional: place write data in the guest buffer.
         if let (BlockOp::Write, Some(bytes)) = (op, data) {
-            let in_block = offset % BLOCK_SIZE;
-            self.mem.borrow_mut().write(buf + in_block, bytes);
+            self.stage_block_write(disk_id, buf, offset, bytes);
         }
         // The guest driver writes a ring descriptor and rings the tail
         // doorbell; the device DMAs the descriptor and queues the request.
@@ -835,9 +883,7 @@ impl System {
             self.costs.guest_stack_submit + self.costs.guest_per_page * Self::pages(len);
         let t = self.host_cpu.serve(issue, submit_cost).end;
         if let (BlockOp::Write, Some(bytes)) = (op, data) {
-            self.mem
-                .borrow_mut()
-                .write(buf + offset % BLOCK_SIZE, bytes);
+            self.stage_block_write(disk_id, buf, offset, bytes);
         }
         let t_db = self.dev.ring_doorbell(t);
         let id = self.fresh_id();
@@ -870,6 +916,51 @@ impl System {
                 .span(root, "hypervisor", "host_complete", tc, done);
         }
         (done, status)
+    }
+
+    /// Places a write's payload in the staging buffer of a block-granular
+    /// path (NeSC direct, host raw), whose device request moves the whole
+    /// covering blocks. A partially written edge block is first filled
+    /// with its current content, so the bytes around the payload go back
+    /// unchanged: the read-modify-write the paravirtual bounce does.
+    /// Functional only; it takes no simulated time.
+    fn stage_block_write(&mut self, disk_id: DiskId, buf: HostAddr, offset: u64, bytes: &[u8]) {
+        let end = offset + bytes.len() as u64;
+        let (first, nblocks) = Self::covering(offset, bytes.len() as u64);
+        let edges = [
+            (first, !offset.is_multiple_of(BLOCK_SIZE)),
+            (first + nblocks - 1, !end.is_multiple_of(BLOCK_SIZE)),
+        ];
+        let mut mem = self.mem.borrow_mut();
+        for (block, partial) in edges {
+            if !partial {
+                continue;
+            }
+            let dst = buf + (block - first) * BLOCK_SIZE;
+            match self
+                .backing_block(disk_id, block)
+                .and_then(|p| self.dev.store().block(p))
+            {
+                Some(current) => mem.write(dst, current),
+                None => mem.fill_zero(dst, BLOCK_SIZE),
+            }
+        }
+        mem.write(buf + offset % BLOCK_SIZE, bytes);
+    }
+
+    /// The device block backing a disk's block `block` right now: the
+    /// image mapping's translation for a file-backed disk (`None` in a
+    /// hole, which reads as zeros), the block itself on the raw device.
+    fn backing_block(&self, disk_id: DiskId, block: u64) -> Option<Plba> {
+        match self.disks[disk_id.0].ino {
+            Some(ino) => {
+                let v = Vlba(block);
+                self.fs.extent_tree(ino).ok()?.lookup(v)?.translate(v)
+            }
+            // nesc-lint::allow(T2): a HostRaw disk *is* the raw device, so
+            // its block index is physical by definition (as in host_io).
+            None => Some(Plba(block)),
+        }
     }
 
     // allow: same eight-parameter internal engine signature as direct_io.
@@ -1128,10 +1219,9 @@ impl System {
                     b += run;
                 }
                 None => {
-                    let mut run = 0;
-                    while b + run < end && tree.lookup(Vlba(b + run)).is_none() {
-                        run += 1;
-                    }
+                    let run = tree
+                        .next_mapped(Vlba(b))
+                        .map_or(end - b, |n| n.min(Vlba(end)).distance_from(Vlba(b)));
                     runs.push((None, run));
                     b += run;
                 }
@@ -1393,8 +1483,13 @@ impl System {
         debug_assert!(max_write <= MAX_REQUEST_BYTES, "request too large");
         // One shared pattern payload serves every write (the simulation
         // cares about sizes and offsets, not tenant-unique bytes); an
-        // oversized request is clamped here and in issue_once.
-        let payload = vec![0x9Au8; max_write.min(MAX_REQUEST_BYTES) as usize];
+        // oversized request is clamped here and in issue_once. The buffer
+        // is kept across calls, so a steady open loop allocates nothing.
+        let mut payload = std::mem::take(&mut self.payload);
+        let len = max_write.min(MAX_REQUEST_BYTES) as usize;
+        if payload.len() < len {
+            payload.resize(len, 0x9A);
+        }
         let mut prev = self.now;
         let mut end = self.now;
         for (i, a) in arrivals.iter().enumerate() {
@@ -1406,6 +1501,7 @@ impl System {
             end = end.max(done);
             observe(i, done, done.saturating_since(a.at), status);
         }
+        self.payload = payload;
         self.now = end;
     }
 
@@ -1458,14 +1554,10 @@ impl System {
             .fs
             .dedup(self.dev.store_mut(), &inos)
             .expect("images are readable");
-        for d in disks {
-            if let Some(vf) = self.disks[d.0].vf {
-                let ino = self.disks[d.0].ino.expect("file-backed");
-                let tree = self.fs.extent_tree(ino).expect("image exists").clone();
-                let root = tree.serialize(&mut self.mem.borrow_mut());
-                self.dev
-                    .set_tree_root(vf, root)
-                    .expect("VF is live during dedup");
+        for &d in disks {
+            if self.disks[d.0].vf.is_some() {
+                self.publish_tree(d)
+                    .expect("the image exists and the VF is live during dedup");
             }
         }
         self.dev.flush_btlb();
@@ -1539,10 +1631,8 @@ impl System {
         let new_blocks = new_size_bytes.div_ceil(BLOCK_SIZE);
         self.disks[disk.0].size_blocks = new_blocks;
         if let Some(vf) = self.disks[disk.0].vf {
-            let tree = self.fs.extent_tree(ino)?.clone();
-            let root = tree.serialize(&mut self.mem.borrow_mut());
-            let set = self.dev.set_tree_root(vf, root);
-            debug_assert!(set.is_ok(), "VF is live");
+            let published = self.publish_tree(disk);
+            debug_assert!(published.is_ok(), "the image exists and the VF is live");
             self.dev.mmio_write(
                 vf,
                 nesc_core::regs::offsets::DEVICE_SIZE,
@@ -1694,16 +1784,50 @@ mod tests {
     }
 
     #[test]
-    fn unaligned_write_preserves_neighbors_on_paravirt() {
+    fn unaligned_write_preserves_neighbors_on_every_path() {
+        for (kind, name) in [
+            (DiskKind::NescDirect, "n.img"),
+            (DiskKind::Virtio, "v.img"),
+            (DiskKind::Emulated, "e.img"),
+            (DiskKind::HostRaw, "unused"),
+        ] {
+            let mut sys = small_system();
+            let disk = sys.quick_disk(kind, name, 1 << 20).disk;
+            sys.write(disk, 0, &vec![0x11u8; 3072]);
+            // An earlier read leaves other bytes in the staging buffer.
+            sys.write(disk, 8192, &vec![0x33u8; 2048]);
+            let mut stale = vec![0u8; 2048];
+            sys.read(disk, 8192, &mut stale);
+            sys.write(disk, 512, &vec![0x22u8; 512]);
+            // Partial at both ends, across a block boundary.
+            sys.write(disk, 1536, &vec![0x44u8; 1024]);
+            let mut out = vec![0u8; 3072];
+            sys.read(disk, 0, &mut out);
+            let want: Vec<u8> = [0x11u8, 0x22, 0x11, 0x44, 0x44, 0x11]
+                .iter()
+                .flat_map(|&b| std::iter::repeat_n(b, 512))
+                .collect();
+            assert_eq!(out, want, "{kind:?} lost neighbouring bytes");
+        }
+    }
+
+    #[test]
+    fn unaligned_write_into_a_thin_hole_reads_zeros_around_it() {
         let mut sys = small_system();
-        let disk = sys.quick_disk(DiskKind::Virtio, "u.img", 1 << 20).disk;
-        sys.write(disk, 0, &vec![0x11u8; 2048]);
+        let vm = sys.create_vm();
+        let img = sys.create_image("thin.img", 1 << 20, false).unwrap();
+        let disk = sys.attach(vm, DiskKind::NescDirect, Some(img));
+        sys.write(disk, 8192, &vec![0x33u8; 1024]);
+        let mut stale = vec![0u8; 1024];
+        sys.read(disk, 8192, &mut stale);
         sys.write(disk, 512, &vec![0x22u8; 512]);
-        let mut out = vec![0u8; 2048];
+        let mut out = vec![0xFFu8; 1024];
         sys.read(disk, 0, &mut out);
-        assert!(out[..512].iter().all(|&b| b == 0x11));
-        assert!(out[512..1024].iter().all(|&b| b == 0x22));
-        assert!(out[1024..].iter().all(|&b| b == 0x11));
+        assert!(
+            out[..512].iter().all(|&b| b == 0),
+            "the hole's half reads zeros"
+        );
+        assert!(out[512..].iter().all(|&b| b == 0x22));
     }
 
     #[test]

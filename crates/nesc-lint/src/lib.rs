@@ -128,6 +128,7 @@ pub fn classify(rel: &Path) -> Option<LintContext> {
             "crates/core/src/device.rs"
                 | "crates/core/src/btlb.rs"
                 | "crates/core/src/function.rs"
+                | "crates/extent/src/publish.rs"
                 | "crates/sim/src/queue.rs"
                 | "crates/sim/src/flight.rs"
                 | "crates/hypervisor/src/system.rs"
@@ -340,6 +341,8 @@ mod tests {
         assert!(dev.device_loop);
         let fl = classify(Path::new("crates/sim/src/flight.rs")).unwrap();
         assert!(fl.device_loop && !fl.scheduling_core);
+        let publish = classify(Path::new("crates/extent/src/publish.rs")).unwrap();
+        assert!(publish.device_loop);
         let rep = classify(Path::new("crates/hypervisor/src/report.rs"));
         assert!(rep.is_none_or(|c| !c.device_loop));
         let it = classify(Path::new("tests/tests/determinism.rs")).unwrap();

@@ -184,6 +184,40 @@ print(f"OK: {per_window:.1f} telemetry samples per window over {windows} windows
       f"(ceiling {CEILING}; {series} series registered)")
 PY
 
+echo "==> tree-publish gate: a miss republishes the extent tree in place"
+# nesc_report's prune-pressure run takes 22 MappingPruned misses on a
+# 4096-extent tree (205 leaves, 217 nodes). Each miss republishes the
+# disk's device-visible tree into the node slots it already owns, and a
+# prune changes no extent, so the misses rewrite only internal nodes:
+# measured 0 leaves and 0 new slots. A full re-serialization per miss
+# would write 205 leaves into 217 fresh slots each time. Both counts are
+# deterministic, so the ceilings are fixed: at most 1 leaf per miss and
+# no new slot.
+python3 - "$tmp/nesc_report.txt" <<'PY'
+import re, sys
+LEAVES_PER_MISS = 1
+NEW_SLOTS = 0
+text = open(sys.argv[1]).read()
+m = re.search(r"tree publish: (\d+) miss publishes wrote (\d+) leaves into (\d+) new node slots", text)
+if not m:
+    print("FAIL: nesc_report printed no tree-publish counters", file=sys.stderr)
+    sys.exit(1)
+misses, leaves, slots = map(int, m.groups())
+if misses == 0:
+    print("FAIL: the prune-pressure run took no miss", file=sys.stderr)
+    sys.exit(1)
+fail = []
+if leaves > LEAVES_PER_MISS * misses:
+    fail.append(f"{leaves / misses:.1f} leaves written per miss > ceiling {LEAVES_PER_MISS}")
+if slots > NEW_SLOTS:
+    fail.append(f"{slots} node slots allocated by misses > ceiling {NEW_SLOTS}")
+if fail:
+    print("FAIL: tree publish: " + "; ".join(fail), file=sys.stderr)
+    sys.exit(1)
+print(f"OK: {misses} miss publishes wrote {leaves} leaves into {slots} new node slots "
+      f"(ceilings {LEAVES_PER_MISS} leaf per miss, {NEW_SLOTS} new slots)")
+PY
+
 echo "==> throughput gate: hot-path blocks/sec floor (interleaved A/B, min of 5)"
 # The harness itself interleaves per-block/batched repeats and keeps each
 # mode's minimum, so one invocation here is already noise-dodged. Floors
